@@ -83,12 +83,6 @@ pub struct RouterConfig {
     /// stage stretches; in LA-PROUD the concurrent next-hop lookup delays
     /// selection completion once it exceeds the arbitration cycle.
     pub table_lookup_cycles: u32,
-    /// Whether [`crate::router::Router::step_with`] runs the fused
-    /// single-pass stage walk (the default) or the staged reference walk
-    /// that visits each pipeline stage as a separate pass. Both produce
-    /// bit-identical simulated behavior; the staged path exists for
-    /// differential testing and profiling.
-    pub fused_pipeline: bool,
 }
 
 impl RouterConfig {
@@ -104,7 +98,6 @@ impl RouterConfig {
             pipeline: PipelineModel::Proud,
             path_selection: PathSelection::StaticXy,
             table_lookup_cycles: 1,
-            fused_pipeline: true,
         }
     }
 
@@ -142,14 +135,6 @@ impl RouterConfig {
     pub fn with_table_lookup_cycles(mut self, cycles: u32) -> RouterConfig {
         assert!(cycles >= 1, "table lookup takes at least one cycle");
         self.table_lookup_cycles = cycles;
-        self
-    }
-
-    /// Switches between the fused single-pass stage walk (`true`, the
-    /// default) and the staged reference walk (`false`). Simulated
-    /// behavior is bit-identical either way.
-    pub fn with_fused_pipeline(mut self, fused: bool) -> RouterConfig {
-        self.fused_pipeline = fused;
         self
     }
 

@@ -56,25 +56,19 @@
 //! reads only the ring head's kind byte plus, for heads, the cold
 //! `dest`/`lookahead` fields.
 //!
-//! # Fused vs. staged stepping
+//! # The cycle walk
 //!
-//! [`Router::step_with`] has two decision-for-decision identical
-//! implementations, selected by [`RouterConfig::fused_pipeline`]:
-//!
-//! * the **fused** walk (default) runs the whole cycle in one pass
-//!   structure — occupied output ports once (VM), occupied input ports
-//!   once (XB proposals, then grants), then **one** combined walk over
-//!   the occupied input VCs that handles both SA (slots in `Select`) and
-//!   TL decode/promote (slots in `Idle`) — carrying stage state in
-//!   registers instead of re-walking the occupancy masks per stage. A VC
-//!   slot is in exactly one routing state, so merging the SA and TL
-//!   passes visits each occupied slot once per cycle without changing
-//!   any decision.
-//! * the **staged** walk is the reference implementation: each pipeline
-//!   stage is a separate pass in reverse pipeline order (VM, XB, SA, TL),
-//!   exactly the pre-fusion structure. It exists for differential testing
-//!   (the `scheduler_equivalence` suite pins fused ≡ staged) and
-//!   profiling.
+//! [`Router::step_with`] runs the whole cycle in reverse pipeline order,
+//! so a flit advances at most one stage per cycle: the occupied output
+//! ports once (VM), the occupied input ports once (XB proposals, then
+//! grants), then **one** combined walk over the occupied, not-yet-active
+//! input VCs that handles both SA (slots in `Select`) and TL
+//! decode/promote (slots in `Idle`). A VC slot is in exactly one routing
+//! state, so one walk serves both stages and visits each slot once per
+//! cycle. Every arbitration is an O(1) masked round-robin over
+//! incrementally maintained eligibility masks. The walk's outputs (launch
+//! order, credits, statistics) are pinned by the golden digests in
+//! `crates/network/tests/golden_digests.rs`.
 
 use crate::arbiter::rr_grant_mask;
 use crate::config::RouterConfig;
@@ -106,7 +100,7 @@ const MAX_PORTS: usize = lapses_topology::MAX_DIMS * 2 + 1;
 
 /// Largest number of (port, VC) slots a router can have — also the
 /// occupancy-mask width.
-const MAX_SLOTS: usize = 64;
+pub const MAX_VC_SLOTS: usize = 64;
 
 /// Per-VC input state. The flit storage itself lives in the router's
 /// SoA input arenas; this header only carries the ring cursor and the
@@ -328,8 +322,6 @@ pub struct Router {
     ports: u8,
     /// Cached `cfg.pipeline.is_lookahead()`.
     lookahead: bool,
-    /// Cached `cfg.fused_pipeline`.
-    fused: bool,
     /// Per output port: VC-multiplexor rotation pointer.
     vm_next: [u8; MAX_PORTS],
     /// Per input port: rotation pointer over its VCs' crossbar proposals.
@@ -344,9 +336,9 @@ pub struct Router {
     link_flits: [u64; MAX_PORTS],
     /// Per-VC input cursors + routing state, inline (no pointer chase);
     /// only the first `ports * vcs` entries are live.
-    inputs: [InputVc; MAX_SLOTS],
+    inputs: [InputVc; MAX_VC_SLOTS],
     /// Per-VC output cursors + credits, inline.
-    outputs: [OutputVc; MAX_SLOTS],
+    outputs: [OutputVc; MAX_VC_SLOTS],
     /// Hot halves (kind bytes) of the input-VC flit rings, one contiguous
     /// segment per VC (`vc_index * in_cap ..`).
     in_kind: Box<[FlitKind]>,
@@ -397,7 +389,7 @@ impl Router {
         assert!(ports > 0, "router needs at least one port");
         assert!(ports <= MAX_PORTS, "router exceeds the port budget");
         assert!(
-            ports * cfg.vcs_per_port <= MAX_SLOTS,
+            ports * cfg.vcs_per_port <= MAX_VC_SLOTS,
             "router exceeds the 64 (port, VC) occupancy-mask budget"
         );
         assert_eq!(table.node(), node, "table programmed for a different node");
@@ -435,14 +427,13 @@ impl Router {
             vcs: vcs as u8,
             ports: ports as u8,
             lookahead: cfg.pipeline.is_lookahead(),
-            fused: cfg.fused_pipeline,
             vm_next: [0; MAX_PORTS],
             xb_in_next: [0; MAX_PORTS],
             xb_out_next: [0; MAX_PORTS],
             vc_alloc_next: [0; MAX_PORTS],
             link_flits: [0; MAX_PORTS],
-            inputs: [IDLE_INPUT; MAX_SLOTS],
-            outputs: [IDLE_OUTPUT; MAX_SLOTS],
+            inputs: [IDLE_INPUT; MAX_VC_SLOTS],
+            outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
@@ -708,48 +699,31 @@ impl Router {
     }
 
     /// Runs one cycle, streaming launches and credits into `sink` as the
-    /// stages produce them. Returns whether any flit moved or allocation
-    /// succeeded. Routers holding no flits return immediately.
-    ///
-    /// Dispatches to the fused single-pass walk or the staged reference
-    /// walk per [`RouterConfig::fused_pipeline`]; the two are
-    /// decision-for-decision identical (see the module docs).
+    /// stages produce them (see the module docs for the walk). Returns
+    /// whether any flit moved or allocation succeeded. Routers holding no
+    /// flits return immediately.
     pub fn step_with<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         if self.in_occupied == 0 && self.out_occupied == 0 {
             return false;
         }
-        if self.fused {
-            self.step_fused(now, sink)
-        } else {
-            let mut moved = self.vm_stage(sink);
-            moved |= self.xb_stage(now, sink);
-            moved |= self.sa_stage(now);
-            self.tl_stage(now);
-            moved
-        }
-    }
-
-    /// The fused single-pass cycle walk (see the module docs): VM over the
-    /// occupied output ports, XB proposals + grants over the occupied
-    /// input ports, then one combined SA/TL walk that visits each
-    /// occupied input VC exactly once, with the per-cycle constants
-    /// (`vcs`, masks, pipeline mode) held in registers across all of it.
-    fn step_fused<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         // VM: per occupied output port, one credited staged flit enters
-        // the link; the tail releases the output VC. (The VM walk has no
-        // stage fusion to exploit, so both walks share `vm_stage`.)
-        let mut moved = self.vm_stage(sink);
+        // the link; the tail releases the output VC.
+        let mut moved = false;
+        let mut pmask = self.out_ports;
+        while pmask != 0 {
+            let p = pmask.trailing_zeros() as usize;
+            pmask &= pmask - 1;
+            moved |= self.vm_port(p, sink);
+        }
 
         if self.in_occupied != 0 {
             // XB: separable switch allocation (proposals, then grants).
             moved |= self.xb_pass(now, sink);
 
-            // SA + TL, fused: one walk over the occupied input VCs. A
-            // slot is in exactly one routing state — Select slots attempt
-            // allocation (SA), Idle slots decode a queued header (TL/
-            // look-ahead promote), Active slots cost one branch — so this
-            // single pass makes the same decisions in the same order as
-            // the staged walk's two passes.
+            // SA + TL: one walk over the occupied input VCs. A slot is in
+            // exactly one routing state — Select slots attempt allocation
+            // (SA), Idle slots decode a queued header (TL/look-ahead
+            // promote), Active slots cost one branch.
             let lookahead = self.lookahead;
             // Only non-`Active` occupied slots can do SA/TL work; fully
             // streaming routers skip the walk entirely.
@@ -931,11 +905,10 @@ impl Router {
             }
             sink.credit(Port::from_index(ip), iv);
             if kind.is_tail() {
-                // The freed VC's next header is decoded by the TL phase of
-                // *this* cycle (it runs after SA), so its earliest
-                // selection attempt is next cycle — in LA-PROUD. PROUD
-                // additionally pays the table-lookup cycle, enforced by
-                // `tl_ready_at`.
+                // The freed VC's next header is decoded by the SA/TL walk
+                // later in *this* cycle, so its earliest selection attempt
+                // is next cycle — in LA-PROUD. PROUD additionally pays the
+                // table-lookup cycle, enforced by `ready_at`.
                 let ivc = &mut self.inputs[in_idx];
                 ivc.state = VcState::Idle;
                 ivc.ready_at = now.as_u64() + 1;
@@ -1017,56 +990,6 @@ impl Router {
         let ivc = &mut self.inputs[idx];
         ivc.ready_at = now.as_u64() + self.cfg.table_lookup_cycles as u64;
         ivc.state = VcState::Select { entry };
-    }
-
-    // ---- The staged reference walk (pre-fusion structure) ----
-
-    /// VM stage: per output port, one staged flit with credits enters the
-    /// link; the tail releases the output VC.
-    fn vm_stage<S: StepSink>(&mut self, sink: &mut S) -> bool {
-        if self.out_occupied == 0 {
-            return false;
-        }
-        let mut moved = false;
-        let mut pmask = self.out_ports;
-        while pmask != 0 {
-            let p = pmask.trailing_zeros() as usize;
-            pmask &= pmask - 1;
-            moved |= self.vm_port(p, sink);
-        }
-        moved
-    }
-
-    /// XB stage: separable switch allocation; winners move one flit from
-    /// their input buffer to the output staging buffer and free a credit.
-    fn xb_stage<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
-        if self.in_occupied == 0 {
-            return false;
-        }
-        self.xb_pass(now, sink)
-    }
-
-    /// SA stage: selection + output-VC allocation for waiting headers, with
-    /// the Duato escape fallback; LA-PROUD concurrently performs the next
-    /// hop's table lookup and rewrites the header.
-    fn sa_stage(&mut self, now: Cycle) -> bool {
-        if self.in_occupied == 0 {
-            return false;
-        }
-        let mut moved = false;
-        let mut occupied = self.in_occupied;
-        while occupied != 0 {
-            let idx = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            let VcState::Select { entry } = self.inputs[idx].state else {
-                continue;
-            };
-            if now.as_u64() < self.inputs[idx].ready_at {
-                continue; // table RAM still busy
-            }
-            moved |= self.sa_allocate(idx, &entry);
-        }
-        moved
     }
 
     /// Tries to reserve an output VC for a header with the given route
@@ -1166,27 +1089,6 @@ impl Router {
             status.credits_max = status.credits_max.max(credits);
         }
         status
-    }
-
-    /// TL stage. PROUD: decode + table lookup for idle VCs whose queued
-    /// header reached the buffer front (one cycle). LA-PROUD: safety-net
-    /// promotion only — heads are normally promoted at delivery or when
-    /// the previous tail departs, at zero cycle cost.
-    fn tl_stage(&mut self, now: Cycle) {
-        if self.in_occupied == 0 {
-            return;
-        }
-        let lookahead = self.lookahead;
-        let mut occupied = self.in_occupied;
-        while occupied != 0 {
-            let idx = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            if lookahead {
-                self.try_lookahead_promote(idx, now);
-            } else if self.inputs[idx].state == VcState::Idle {
-                self.tl_decode(idx, now);
-            }
-        }
     }
 
     /// LA-PROUD: if input VC `idx` is idle with a header at the buffer
@@ -1587,51 +1489,6 @@ mod tests {
         let launches = run(&mut r, 1, 10);
         assert_eq!(launches.len(), 1);
         assert_eq!(launches[0].0, 4);
-    }
-
-    #[test]
-    fn fused_and_staged_walks_are_launch_identical() {
-        // The same traffic through the fused single-pass walk and the
-        // staged reference walk must produce identical launch sequences,
-        // credit sequences and statistics — per cycle, not just in
-        // aggregate.
-        let feed = |r: &mut Router, lookahead: bool| {
-            for (m, vc, len) in [(1u64, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
-                let mut flits = Flit::message(MessageId(m), MsgRef(m as u32), NodeId(3), len);
-                if lookahead {
-                    flits[0].lookahead = Some(r.table.entry(flits[0].dest));
-                }
-                for (i, f) in flits.iter().enumerate() {
-                    r.accept_flit(Port::LOCAL, vc, *f, Cycle::new(i as u64));
-                }
-            }
-        };
-        for lookahead in [false, true] {
-            let trace = |fused: bool| {
-                let cfg = RouterConfig::paper_adaptive()
-                    .with_lookahead(lookahead)
-                    .with_fused_pipeline(fused);
-                let mut r = line_router(cfg);
-                feed(&mut r, lookahead);
-                let mut events = Vec::new();
-                for t in 1..=40u64 {
-                    let out = r.step(Cycle::new(t));
-                    for l in &out.launches {
-                        events.push((t, l.port, l.vc, l.flit));
-                    }
-                    for c in &out.credits {
-                        events.push((t, c.0, c.1, Flit::assemble(FlitKind::Body, COLD_FILLER)));
-                    }
-                }
-                assert!(r.is_empty(), "all traffic must drain");
-                (events, r.stats())
-            };
-            let (fused_events, fused_stats) = trace(true);
-            let (staged_events, staged_stats) = trace(false);
-            assert_eq!(fused_events, staged_events, "lookahead={lookahead}");
-            assert_eq!(fused_stats, staged_stats);
-            assert!(fused_stats.flits_switched > 0, "trace must not be vacuous");
-        }
     }
 
     #[test]

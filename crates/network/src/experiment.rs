@@ -406,13 +406,13 @@ pub struct SimConfig {
     pub stall_window: u64,
     /// Aggregate NIC backlog (messages) that declares saturation.
     pub backlog_limit: u64,
-    /// Whether the network steps only active components (the default) or
-    /// scans every router and NIC each cycle. Both modes are bit-identical
-    /// — see [`Network::set_active_scheduling`].
+    /// Compatibility name, always `true`: the active-set scheduler is the
+    /// only cycle loop, and [`Network::set_active_scheduling`] rejects
+    /// `false`.
     pub active_scheduling: bool,
-    /// Whether link arrivals are delivered as per-router batches (the
-    /// default) or flit-at-a-time. Both modes are bit-identical — see
-    /// [`Network::set_batched_delivery`].
+    /// Compatibility name, always `true`: batched delivery is the only
+    /// delivery path, and [`Network::set_batched_delivery`] rejects
+    /// `false`.
     pub batched_delivery: bool,
 }
 
@@ -560,27 +560,6 @@ impl SimConfig {
     /// Kills `count` random links drawn deterministically from `seed`.
     pub fn with_random_faults(mut self, count: usize, seed: u64) -> SimConfig {
         self.faults = FaultsConfig::Random { count, seed };
-        self
-    }
-
-    /// Switches the network's active-set scheduler on or off (differential
-    /// testing; results are bit-identical either way).
-    pub fn with_active_scheduling(mut self, enabled: bool) -> SimConfig {
-        self.active_scheduling = enabled;
-        self
-    }
-
-    /// Switches the routers' fused single-pass stage walk on or off
-    /// (differential testing; results are bit-identical either way).
-    pub fn with_fused_pipeline(mut self, fused: bool) -> SimConfig {
-        self.router = self.router.with_fused_pipeline(fused);
-        self
-    }
-
-    /// Switches batched link delivery on or off (differential testing;
-    /// results are bit-identical either way).
-    pub fn with_batched_delivery(mut self, enabled: bool) -> SimConfig {
-        self.batched_delivery = enabled;
         self
     }
 
@@ -890,21 +869,6 @@ impl SimConfig {
             flit_hops,
         }
     }
-
-    /// Runs the configuration across a load sweep, stopping after the
-    /// first saturated point (which is included, reported as "Sat.").
-    pub fn sweep(&self, loads: &[f64]) -> Vec<(f64, SimResult)> {
-        let mut out = Vec::new();
-        for &load in loads {
-            let result = self.clone().with_load(load).run();
-            let saturated = result.saturated;
-            out.push((load, result));
-            if saturated {
-                break;
-            }
-        }
-        out
-    }
 }
 
 fn env_u64(name: &str) -> Option<u64> {
@@ -977,15 +941,6 @@ mod tests {
             .run();
         assert_eq!(full.avg_latency, econ.avg_latency);
         assert_eq!(full.messages, econ.messages);
-    }
-
-    #[test]
-    fn sweep_stops_at_saturation() {
-        let cfg = fast(SimConfig::paper_adaptive(4, 4));
-        let points = cfg.sweep(&[0.2, 3.0, 5.0]);
-        assert_eq!(points.len(), 2, "sweep must stop after first Sat.");
-        assert!(!points[0].1.saturated);
-        assert!(points[1].1.saturated);
     }
 
     #[test]

@@ -30,45 +30,39 @@
 //! routers, no deliveries on the wires and no injectable NIC work, no
 //! component's step could change any state, so idle cycles cost O(1).
 //!
-//! Active-set iteration walks set bits in ascending node order — the same
-//! order the always-step loop uses — and skipped components are exactly
-//! the no-op ones, which is why every statistic, RNG draw and arbitration
-//! decision is **bit-identical** with the scheduler on or off
-//! ([`Network::set_active_scheduling`]; the `scheduler_equivalence`
-//! integration test enforces this across patterns, loads and pipelines).
+//! Active-set iteration walks set bits in ascending node order, and
+//! skipped components are exactly the no-op ones, so skipping them
+//! changes no statistic, RNG draw or arbitration decision.
 //!
 //! # The zero-copy wire and batched delivery
 //!
-//! With batching on (the default, [`Network::set_batched_delivery`]) a
-//! launch toward a neighbor router writes the flit's payload **directly
-//! into the input-arena slot it will occupy on arrival**
-//! (`Router::reserve_flit` — the slot is computable at launch time and
-//! stable until then), and only a packed 4-byte
-//! [`crate::delivery::ArrivalEvent`] rides the delay ring. When the link delay elapses, the cycle loop
-//! chains that cycle's events by destination router and commits them
-//! router by router (`Router::commit_flit` flips the flit visible): each
-//! receiving router's state is touched once per cycle instead of once per
-//! flit, its wake-up bit is set once per batch, and no 40-byte delivery
-//! record is ever written, carried, or re-copied into the buffer.
-//! Credits ride the same packed 4-byte address; ejections ship an 8-byte
-//! record (message handle + kind — all the statistics need).
+//! A crossbar winner bound for a neighbor router writes the flit's
+//! payload **directly into the input-arena slot it will occupy on
+//! arrival** (`Router::reserve_flit` — the slot is computable at that
+//! point and stable until then); when the VC multiplexor later launches
+//! it, only a packed 4-byte [`crate::delivery::ArrivalEvent`] rides the
+//! delay ring. When the link delay elapses, the cycle loop chains that
+//! cycle's events by destination router and commits them router by
+//! router (`Router::commit_flit` flips the flit visible): each receiving
+//! router's state is touched once per cycle instead of once per flit, and
+//! its wake-up bit is set once per batch. Credits ride the same packed
+//! 4-byte address; ejections ship an 8-byte record (message handle +
+//! kind — all the statistics need).
 //!
-//! The reference path (batching off) materializes classic
-//! [`crate::delivery::FlitDelivery`] records and delivers them
-//! flit-at-a-time in launch (FIFO) order via `Router::accept_flit`. The
-//! two are bit-identical because (a) a reserved payload is invisible to
-//! the router until its commit — no stage reads past a ring's visible
-//! length — and commits run in the same cycle, with the same per-(port,
-//! VC) FIFO order, as the reference arrivals; and (b) batching only
-//! reorders deliveries *across* routers, whose state is disjoint
-//! (same-cycle arrivals at one router always target distinct input
-//! ports — a link carries at most one flit per cycle). Ejections are the
-//! exception: they accumulate floating-point latency statistics, whose
-//! summation order must not change, so they always travel as materialized
-//! records and are sampled in FIFO order in both modes.
+//! Two facts keep this exact. A reserved payload is invisible to its
+//! router until the commit — no stage reads past a ring's visible length
+//! — and commits to one (port, VC) run in launch order. Batching reorders
+//! commits only *across* routers, whose state is disjoint (same-cycle
+//! arrivals at one router always target distinct input ports — a link
+//! carries at most one flit per cycle). Ejections accumulate
+//! floating-point latency statistics, whose summation order matters, so
+//! they are sampled in launch (FIFO) order.
+//!
+//! The simulated outcomes of this loop are pinned by the golden digests
+//! in `crates/network/tests/golden_digests.rs`.
 
 use crate::active::ActiveSet;
-use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord, FlitDelivery};
+use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord};
 use crate::messages::{MessageRecord, MessageStore};
 use crate::nic::Nic;
 use lapses_core::router::RouterStats;
@@ -120,14 +114,6 @@ pub struct Network {
     neighbors: Vec<u32>,
     cycles_run: u64,
     measured_flits_ejected: u64,
-    /// Whether `step` walks the active sets (true) or scans every
-    /// component (false). Both modes produce bit-identical results.
-    active_scheduling: bool,
-    /// Whether link arrivals use the zero-copy wire with per-router
-    /// batched commits (true) or materialized flit-at-a-time delivery in
-    /// FIFO order (false). Both modes produce bit-identical results (see
-    /// the module docs).
-    batched_delivery: bool,
     /// Routers currently holding flits (see the module docs).
     router_active: ActiveSet,
     /// NICs with injectable work (see the module docs).
@@ -140,7 +126,6 @@ pub struct Network {
     /// O(1) [`Network::backlog`].
     backlog_msgs: u64,
     /// Reused per-cycle scratch buffers (hot-loop allocation avoidance).
-    scratch_flits: Vec<FlitDelivery>,
     scratch_events: Vec<ArrivalEvent>,
     scratch_ejects: Vec<EjectRecord>,
     scratch_credits: Vec<CreditDelivery>,
@@ -158,17 +143,14 @@ pub struct Network {
 /// Sentinel for the delivery-batching chain links.
 const NONE: u32 = u32::MAX;
 
-/// The network's implementation of [`StepSink`]: launches and credits go
-/// straight from the router pipeline stages onto the wires — no staging
-/// buffer, no second copy.
+/// The network's implementation of [`StepSink`]: the zero-copy wire.
+/// Payloads go from the crossbar straight into the downstream input ring,
+/// and launches and credits go from the pipeline stages straight onto the
+/// delay rings — no staging buffer, no second copy.
 struct WireSink<'a> {
     now: Cycle,
     node: usize,
     ports: usize,
-    /// Whether launches write their payload straight into the destination
-    /// router's input arena (the zero-copy wire) or materialize a
-    /// [`FlitDelivery`] on the ring (the reference path).
-    direct: bool,
     /// The routers before / after the one being stepped (disjoint
     /// borrows), so a launch can reserve the downstream input slot.
     left: &'a mut [Router],
@@ -182,56 +164,25 @@ struct WireSink<'a> {
 
 impl StepSink for WireSink<'_> {
     #[inline]
-    fn launch(&mut self, port: Port, vc: usize, flit: Flit) {
+    fn launch(&mut self, port: Port, _vc: usize, flit: Flit) {
+        // Only the ejection channel launches a payload (neighbor traffic
+        // moved its payload at XB time and launches via
+        // `launch_reserved`). The NIC sink only samples statistics, so
+        // the message handle + kind is all that rides the ring.
+        debug_assert!(port.is_local(), "payload launch toward a neighbor");
         *self.router_flits -= 1;
-        match port.direction() {
-            None => {
-                // Ejection channel toward the local NIC: the sink only
-                // samples statistics, so the zero-copy wire ships the
-                // message handle + kind instead of the whole flit.
-                if self.direct {
-                    self.queues.send_eject(
-                        self.now,
-                        EjectRecord {
-                            rec: flit.rec,
-                            kind: flit.kind,
-                        },
-                    );
-                } else {
-                    self.queues.send_flit(
-                        self.now,
-                        FlitDelivery {
-                            flit,
-                            node: NodeId(self.node as u32),
-                            port: Port::LOCAL,
-                            vc: vc as u8,
-                        },
-                    );
-                }
-            }
-            Some(dir) => {
-                // Buffered (reference) protocol: a full delivery record
-                // rides the ring. The zero-copy wire never reaches this
-                // arm for neighbor traffic — it transfers payloads at XB
-                // time and announces launches via `launch_reserved`.
-                let neighbor = self.neighbors[self.node * self.ports + port.index()];
-                debug_assert_ne!(neighbor, u32::MAX, "launch over a missing link");
-                self.queues.send_flit(
-                    self.now,
-                    FlitDelivery {
-                        flit,
-                        node: NodeId(neighbor),
-                        port: Port::from(dir.opposite()),
-                        vc: vc as u8,
-                    },
-                );
-            }
-        }
+        self.queues.send_eject(
+            self.now,
+            EjectRecord {
+                rec: flit.rec,
+                kind: flit.kind,
+            },
+        );
     }
 
     #[inline]
     fn direct(&self) -> bool {
-        self.direct
+        true
     }
 
     #[inline]
@@ -290,7 +241,6 @@ impl std::fmt::Debug for Network {
             .field("mesh", &self.mesh)
             .field("scheme", &self.program.name())
             .field("cycles_run", &self.cycles_run)
-            .field("active_scheduling", &self.active_scheduling)
             .finish_non_exhaustive()
     }
 }
@@ -389,13 +339,10 @@ impl Network {
             neighbors,
             cycles_run: 0,
             measured_flits_ejected: 0,
-            active_scheduling: true,
-            batched_delivery: true,
             router_active: ActiveSet::new(node_count),
             nic_active: ActiveSet::new(node_count),
             router_flits: 0,
             backlog_msgs: 0,
-            scratch_flits: Vec::new(),
             scratch_events: Vec::new(),
             scratch_ejects: Vec::new(),
             scratch_credits: Vec::new(),
@@ -411,40 +358,27 @@ impl Network {
         &self.mesh
     }
 
-    /// Switches the active-set scheduler on or off. Both modes are
-    /// bit-identical (off exists for differential testing and profiling);
-    /// the sets stay maintained either way, so toggling mid-run is safe.
-    pub fn set_active_scheduling(&mut self, enabled: bool) {
-        self.active_scheduling = enabled;
-    }
-
-    /// Whether the active-set scheduler is in use.
-    pub fn active_scheduling(&self) -> bool {
-        self.active_scheduling
-    }
-
-    /// Switches the zero-copy wire + batched delivery on or off. Both
-    /// modes are bit-identical (materialized per-flit delivery exists for
-    /// differential testing and profiling).
+    /// Compatibility name: the active-set scheduler is the only cycle
+    /// loop, so this accepts only `true`.
     ///
     /// # Panics
     ///
-    /// Panics when the mode actually changes while traffic is in flight:
-    /// under the zero-copy wire, staged flits have already parked their
-    /// payload downstream at crossbar time, so the launch protocol cannot
-    /// switch under them. Select the mode before offering messages (or
-    /// after a drain).
-    pub fn set_batched_delivery(&mut self, enabled: bool) {
+    /// Panics if `enabled` is false.
+    pub fn set_active_scheduling(&mut self, enabled: bool) {
         assert!(
-            enabled == self.batched_delivery || !self.has_traffic(),
-            "delivery mode can only change while the network is quiescent"
+            enabled,
+            "the full-scan scheduler was removed; see golden_digests"
         );
-        self.batched_delivery = enabled;
     }
 
-    /// Whether link arrivals use the zero-copy wire with batched commits.
-    pub fn batched_delivery(&self) -> bool {
-        self.batched_delivery
+    /// Compatibility name: the zero-copy wire with batched commits is the
+    /// only delivery path, so this accepts only `true`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `enabled` is false.
+    pub fn set_batched_delivery(&mut self, enabled: bool) {
+        assert!(enabled, "per-flit delivery was removed; see golden_digests");
     }
 
     /// Queues a message at its source NIC. Look-ahead headers get the
@@ -493,32 +427,19 @@ impl Network {
         //    wires. No router bit is *set* during this phase (arrivals and
         //    injections come later), so iterating a snapshot of each word
         //    while clearing drained routers from the live set is sound.
-        if self.active_scheduling {
-            for w in 0..self.router_active.word_count() {
-                let mut word = self.router_active.word(w);
-                while word != 0 {
-                    let node = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.step_router(node, now, &mut summary);
-                }
-            }
-        } else {
-            for node in 0..self.routers.len() {
+        for w in 0..self.router_active.word_count() {
+            let mut word = self.router_active.word(w);
+            while word != 0 {
+                let node = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
                 self.step_router(node, now, &mut summary);
             }
         }
 
         // 2. Arrivals due this cycle (swapped out of the ring bucket, not
-        //    copied). Flit deliveries wake their routers; with batching on
-        //    they are grouped by destination router first (see the module
-        //    docs for why both orders are bit-identical).
-        let mut flits = std::mem::take(&mut self.scratch_flits);
-        self.queues.swap_flits(now, &mut flits);
-        for d in &flits {
-            self.deliver_per_flit(d, now, &mut summary);
-        }
-        flits.clear();
-        self.scratch_flits = flits;
+        //    copied): ejections are sampled in launch order, router-bound
+        //    flits are committed per destination router (see the module
+        //    docs) and wake it.
         let mut ejects = std::mem::take(&mut self.scratch_ejects);
         self.queues.swap_ejects(now, &mut ejects);
         for e in &ejects {
@@ -528,15 +449,7 @@ impl Network {
         self.scratch_ejects = ejects;
         let mut events = std::mem::take(&mut self.scratch_events);
         self.queues.swap_events(now, &mut events);
-        if self.batched_delivery {
-            self.commit_batched(&events, now);
-        } else {
-            // Only reachable when batching was toggled off mid-run with
-            // reserved flits still on the wire.
-            for e in &events {
-                self.commit_one(*e, now);
-            }
-        }
+        self.commit_batched(&events, now);
         events.clear();
         self.scratch_events = events;
         let mut credits = std::mem::take(&mut self.scratch_credits);
@@ -548,48 +461,17 @@ impl Network {
 
         // 3. NICs inject (at most one flit per node per cycle). NIC bits
         //    were set by offers and credit returns before this point.
-        if self.active_scheduling {
-            for w in 0..self.nic_active.word_count() {
-                let mut word = self.nic_active.word(w);
-                while word != 0 {
-                    let node = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.inject_from_nic(node, now, &mut summary);
-                }
-            }
-        } else {
-            for node in 0..self.nics.len() {
+        for w in 0..self.nic_active.word_count() {
+            let mut word = self.nic_active.word(w);
+            while word != 0 {
+                let node = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
                 self.inject_from_nic(node, now, &mut summary);
             }
         }
 
         self.cycles_run += 1;
         summary
-    }
-
-    /// Delivers one link arrival: ejections are sampled into the latency
-    /// statistics, router-bound flits land in their input buffer and wake
-    /// the router.
-    #[inline]
-    fn deliver_per_flit(&mut self, d: &FlitDelivery, now: Cycle, summary: &mut CycleSummary) {
-        if d.port.is_local() {
-            self.eject(d.flit.rec, d.flit.kind, now, summary);
-        } else {
-            let node = d.node.index();
-            self.routers[node].accept_flit(d.port, d.vc as usize, d.flit, now);
-            self.router_flits += 1;
-            self.router_active.insert(node);
-        }
-    }
-
-    /// Commits one arrival event: the reserved payload becomes visible
-    /// and the router wakes.
-    #[inline]
-    fn commit_one(&mut self, e: ArrivalEvent, now: Cycle) {
-        let node = e.node();
-        self.routers[node].commit_flit(e.port(), e.vc(), now);
-        self.router_flits += 1;
-        self.router_active.insert(node);
     }
 
     /// Commits a cycle's arrival events as per-router batches: one
@@ -672,7 +554,6 @@ impl Network {
             now,
             node,
             ports,
-            direct: self.batched_delivery,
             left,
             right,
             queues: &mut self.queues,
@@ -933,103 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_matches_always_step_cycle_for_cycle() {
-        // The core bit-identity claim, at the finest granularity: the same
-        // traffic stepped with the active-set scheduler and with the full
-        // scan must produce identical per-cycle summaries and statistics.
-        let build = |scheduling: bool| {
-            let mut net = small_net(RouterConfig::paper_adaptive());
-            net.set_active_scheduling(scheduling);
-            let mesh = net.mesh().clone();
-            for src in mesh.nodes() {
-                let dest = NodeId((src.0 * 11 + 3) % 16);
-                if dest != src {
-                    net.offer_message(src, dest, 8, Cycle::ZERO, true);
-                }
-            }
-            net
-        };
-        let mut on = build(true);
-        let mut off = build(false);
-        for t in 0..3_000 {
-            let a = on.step(Cycle::new(t));
-            let b = off.step(Cycle::new(t));
-            assert_eq!(a.measured_deliveries, b.measured_deliveries, "cycle {t}");
-            assert_eq!(a.moved, b.moved, "cycle {t}");
-            assert_eq!(on.has_traffic(), off.has_traffic(), "cycle {t}");
-        }
-        assert!(!on.has_traffic(), "traffic should have drained");
-        assert_eq!(on.latency().mean(), off.latency().mean());
-        assert_eq!(on.latency().count(), off.latency().count());
-        assert_eq!(on.router_stats(), off.router_stats());
-        on.assert_quiescent();
-        off.assert_quiescent();
-    }
-
-    /// Steps `a` and `b` in lockstep and requires identical per-cycle
-    /// summaries, traffic flags, final statistics and quiescence.
-    fn assert_lockstep_identical(mut a: Network, mut b: Network, cycles: u64) {
-        for t in 0..cycles {
-            let sa = a.step(Cycle::new(t));
-            let sb = b.step(Cycle::new(t));
-            assert_eq!(sa.measured_deliveries, sb.measured_deliveries, "cycle {t}");
-            assert_eq!(sa.moved, sb.moved, "cycle {t}");
-            assert_eq!(a.has_traffic(), b.has_traffic(), "cycle {t}");
-        }
-        assert!(!a.has_traffic(), "traffic should have drained");
-        assert_eq!(a.latency().mean(), b.latency().mean());
-        assert_eq!(a.latency().count(), b.latency().count());
-        assert_eq!(a.router_stats(), b.router_stats());
-        a.assert_quiescent();
-        b.assert_quiescent();
-    }
-
-    fn loaded_net(configure: impl Fn(&mut Network), lookahead: bool) -> Network {
-        let mut net = small_net(RouterConfig::paper_adaptive().with_lookahead(lookahead));
-        configure(&mut net);
-        let mesh = net.mesh().clone();
-        for src in mesh.nodes() {
-            let dest = NodeId((src.0 * 11 + 3) % 16);
-            if dest != src {
-                net.offer_message(src, dest, 8, Cycle::ZERO, true);
-            }
-        }
-        net
-    }
-
-    #[test]
-    fn batched_delivery_matches_per_flit_cycle_for_cycle() {
-        for lookahead in [false, true] {
-            let on = loaded_net(|n| n.set_batched_delivery(true), lookahead);
-            let off = loaded_net(|n| n.set_batched_delivery(false), lookahead);
-            assert_lockstep_identical(on, off, 3_000);
-        }
-    }
-
-    #[test]
-    fn fused_pipeline_matches_staged_cycle_for_cycle() {
-        for lookahead in [false, true] {
-            let fused = small_net(RouterConfig::paper_adaptive().with_lookahead(lookahead));
-            let staged = small_net(
-                RouterConfig::paper_adaptive()
-                    .with_lookahead(lookahead)
-                    .with_fused_pipeline(false),
-            );
-            let load = |mut net: Network| {
-                let mesh = net.mesh().clone();
-                for src in mesh.nodes() {
-                    let dest = NodeId((src.0 * 11 + 3) % 16);
-                    if dest != src {
-                        net.offer_message(src, dest, 8, Cycle::ZERO, true);
-                    }
-                }
-                net
-            };
-            assert_lockstep_identical(load(fused), load(staged), 3_000);
-        }
-    }
-
-    #[test]
     fn incremental_counters_match_scans_mid_flight() {
         let mut net = small_net(RouterConfig::paper_adaptive());
         let mesh = net.mesh().clone();
@@ -1096,6 +880,18 @@ mod tests {
         }
         run_until_delivered(&mut net, n, 20_000);
         assert_eq!(net.latency().count(), n as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "full-scan scheduler was removed")]
+    fn full_scan_scheduling_is_rejected() {
+        small_net(RouterConfig::paper_adaptive()).set_active_scheduling(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-flit delivery was removed")]
+    fn per_flit_delivery_is_rejected() {
+        small_net(RouterConfig::paper_adaptive()).set_batched_delivery(false);
     }
 
     #[test]

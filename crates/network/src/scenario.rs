@@ -32,6 +32,7 @@
 use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, WorkloadKind};
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
+use lapses_core::router::MAX_VC_SLOTS;
 use lapses_core::RouterConfig;
 use lapses_topology::{FaultError, FaultyMesh, Mesh};
 use lapses_traffic::workload::OnOffWorkload;
@@ -52,6 +53,14 @@ pub enum ScenarioError {
         total: usize,
         /// Escape VCs requested.
         escape: usize,
+    },
+    /// The router has more (port, VC) slots than the cycle loop's
+    /// occupancy masks can track ([`MAX_VC_SLOTS`]).
+    VcBudget {
+        /// Ports per router (local + two per dimension).
+        ports: usize,
+        /// VCs per port.
+        vcs: usize,
     },
     /// The routing algorithm needs more escape VCs than the router has.
     EscapeVcs {
@@ -146,6 +155,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::VcConfig { total, escape } => write!(
                 f,
                 "VC configuration is inconsistent: {escape} escape VC(s) out of {total} total"
+            ),
+            ScenarioError::VcBudget { ports, vcs } => write!(
+                f,
+                "{ports} ports x {vcs} VCs = {} (port, VC) slots exceeds the router's budget of {MAX_VC_SLOTS}",
+                ports * vcs
             ),
             ScenarioError::EscapeVcs {
                 algorithm,
@@ -430,28 +444,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Switches the active-set scheduler (differential testing).
-    pub fn active_scheduling(mut self, enabled: bool) -> Self {
-        self.config.active_scheduling = enabled;
-        self
-    }
-
-    /// Switches the fused router pipeline (differential testing).
-    pub fn fused_pipeline(mut self, fused: bool) -> Self {
-        self.config.router = self.config.router.with_fused_pipeline(fused);
-        self
-    }
-
-    /// Switches batched link delivery (differential testing).
-    pub fn batched_delivery(mut self, enabled: bool) -> Self {
-        self.config.batched_delivery = enabled;
-        self
-    }
-
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
-    /// Checks, in order: load sanity, measurement window, VC counts,
-    /// algorithm/topology compatibility, escape-VC sufficiency for
+    /// Checks, in order: load sanity, measurement window, VC counts and
+    /// the router's (port, VC) slot budget, algorithm/topology compatibility, escape-VC sufficiency for
     /// deadlock freedom, and workload-specific consistency (Bernoulli
     /// gap ≥ 1 cycle, bursty OFF-silence positivity, trace node count).
     /// For trace workloads the measured-injection count is clamped to the
@@ -472,6 +468,13 @@ impl ScenarioBuilder {
             return Err(ScenarioError::VcConfig {
                 total: router.vcs_per_port,
                 escape: router.escape_vcs,
+            });
+        }
+        let ports = config.mesh.ports_per_router();
+        if ports * router.vcs_per_port > MAX_VC_SLOTS {
+            return Err(ScenarioError::VcBudget {
+                ports,
+                vcs: router.vcs_per_port,
             });
         }
 
@@ -632,6 +635,21 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("deadlock freedom"));
+    }
+
+    #[test]
+    fn vc_slots_beyond_the_router_budget_are_rejected() {
+        // 2-D: 5 ports x 16 VCs = 80 slots.
+        let err = small().vcs(16, 1).build().unwrap_err();
+        assert_eq!(err, ScenarioError::VcBudget { ports: 5, vcs: 16 });
+        assert!(err.to_string().contains("budget of 64"), "{err}");
+        // 3-D: 7 ports x 9 VCs = 63 fits; x 10 = 70 does not.
+        let cube = || small().topology(Mesh::mesh(&[3, 3, 3]));
+        assert!(cube().vcs(9, 1).build().is_ok());
+        assert_eq!(
+            cube().vcs(10, 1).build().unwrap_err(),
+            ScenarioError::VcBudget { ports: 7, vcs: 10 }
+        );
     }
 
     #[test]

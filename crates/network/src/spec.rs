@@ -846,6 +846,20 @@ mod tests {
     }
 
     #[test]
+    fn vc_budget_overflow_is_a_scenario_error_not_a_panic() {
+        let spec = ScenarioSpec::parse("topology = mesh 4x4\nvcs = 16 1\n").unwrap();
+        let err = spec.to_scenario(Path::new(".")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Scenario(ScenarioError::VcBudget { ports: 5, vcs: 16 })
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("budget of 64"), "{err}");
+    }
+
+    #[test]
     fn missing_trace_file_surfaces_as_trace_error() {
         let spec = ScenarioSpec {
             workload: WorkloadSpec::Trace("does-not-exist.trace".into()),

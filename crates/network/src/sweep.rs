@@ -9,9 +9,8 @@
 //! * every point's seed is derived from the runner's master seed and the
 //!   point's position in the grid — never from thread identity or timing;
 //! * results are aggregated in grid order, not completion order;
-//! * the saturation cut-off (the sequential [`SimConfig::sweep`] stops a
-//!   series after its first "Sat." point) is enforced by *position*: a
-//!   worker skips a point only when some earlier point of the same series
+//! * the saturation cut-off (a series stops after its first "Sat." point,
+//!   which is included) is enforced by *position*: a worker skips a point only when some earlier point of the same series
 //!   has already saturated, and the final report truncates each series at
 //!   its first saturated point, so racing workers can only change how much
 //!   wasted work is avoided, never the report.
@@ -314,7 +313,8 @@ impl SweepGrid {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CutoffPolicy {
     /// Drop them from the report and skip their execution when a lower
-    /// load has already saturated — matches [`SimConfig::sweep`].
+    /// load has already saturated: a series ends with its first "Sat."
+    /// point.
     #[default]
     TruncateAtSaturation,
     /// Run and report every grid point, "Sat." cells included.

@@ -155,44 +155,16 @@ fn assert_golden(what: &str, actual: &[(String, u64)], golden: &[u64]) {
     }
 }
 
-/// Bit 0: active scheduling; bit 1: fused pipeline; bit 2: batched
-/// delivery. Mask 0b111 is the default configuration.
-fn toggled(builder: ScenarioBuilder, mask: u8) -> ScenarioBuilder {
-    builder
-        .active_scheduling(mask & 1 != 0)
-        .fused_pipeline(mask & 2 != 0)
-        .batched_delivery(mask & 4 != 0)
-}
-
-/// Computes `digest` under all eight toggle combinations and requires
-/// them to agree before returning the common value.
-fn across_toggles<T: PartialEq + std::fmt::Debug>(what: &str, digest: impl Fn(u8) -> T) -> T {
-    let reference = digest(0b111);
-    for mask in 0..0b111 {
-        assert_eq!(
-            digest(mask),
-            reference,
-            "{what}: toggle mask {mask:03b} diverged from the default"
-        );
-    }
-    reference
-}
-
 /// Runs `scenario` and returns its run digest, requiring the expected
 /// outcome (and, for completed runs, a non-vacuous measurement).
 fn scenario_digest(scenario: &Scenario, saturated: bool) -> u64 {
-    across_toggles("scenario", |mask| {
-        let r = toggled(scenario.to_builder(), mask)
-            .build()
-            .expect("valid")
-            .run();
-        assert_eq!(r.saturated, saturated, "{scenario:?}");
-        assert!(
-            saturated || (r.messages > 0 && r.flit_hops > 0),
-            "vacuous run"
-        );
-        run_digest(&r)
-    })
+    let r = scenario.run();
+    assert_eq!(r.saturated, saturated, "{scenario:?}");
+    assert!(
+        saturated || (r.messages > 0 && r.flit_hops > 0),
+        "vacuous run"
+    );
+    run_digest(&r)
 }
 
 fn small(width: u16, height: u16) -> ScenarioBuilder {
@@ -206,49 +178,45 @@ fn small(width: u16, height: u16) -> ScenarioBuilder {
 fn paper_grid_matches_golden_digests() {
     // 8x8, the four paper patterns on PROUD and LA-PROUD at two loads,
     // run by the parallel sweep runner.
-    let grid = |mask: u8| {
-        let mut grid = SweepGrid::new();
-        for lookahead in [false, true] {
-            let tag = if lookahead { "la" } else { "proud" };
-            for pattern in Pattern::PAPER_FOUR {
-                let scenario = toggled(small(8, 8).lookahead(lookahead), mask)
-                    .pattern(pattern)
-                    .build()
-                    .expect("valid");
-                grid = grid
-                    .scenario_series(
-                        format!("{tag}/{}", pattern.name()),
-                        &scenario,
-                        &ScenarioAxis::Load(vec![0.1, 0.25]),
-                    )
-                    .expect("valid axis");
-            }
+    let mut grid = SweepGrid::new();
+    for lookahead in [false, true] {
+        let tag = if lookahead { "la" } else { "proud" };
+        for pattern in Pattern::PAPER_FOUR {
+            let scenario = small(8, 8)
+                .lookahead(lookahead)
+                .pattern(pattern)
+                .build()
+                .expect("valid");
+            grid = grid
+                .scenario_series(
+                    format!("{tag}/{}", pattern.name()),
+                    &scenario,
+                    &ScenarioAxis::Load(vec![0.1, 0.25]),
+                )
+                .expect("valid axis");
         }
-        grid
-    };
-    let actual = across_toggles("paper grid", |mask| {
-        let report = SweepRunner::new()
-            .with_threads(2)
-            .with_master_seed(424242)
-            .run(&grid(mask));
-        assert_eq!(report.series().len(), 8);
-        report
-            .series()
-            .iter()
-            .map(|series| {
-                assert_eq!(series.points.len(), 2, "{} truncated", series.label);
-                let mut d = Digest::new();
-                d.str(&series.label);
-                for (load, r) in &series.points {
-                    assert!(!r.saturated, "{} saturated at {load}", series.label);
-                    assert!(r.messages > 0 && r.avg_latency > 0.0 && r.cycles > 0);
-                    d.f64(*load);
-                    d.result(r);
-                }
-                (series.label.clone(), d.0)
-            })
-            .collect::<Vec<_>>()
-    });
+    }
+    let report = SweepRunner::new()
+        .with_threads(2)
+        .with_master_seed(424242)
+        .run(&grid);
+    assert_eq!(report.series().len(), 8);
+    let actual: Vec<(String, u64)> = report
+        .series()
+        .iter()
+        .map(|series| {
+            assert_eq!(series.points.len(), 2, "{} truncated", series.label);
+            let mut d = Digest::new();
+            d.str(&series.label);
+            for (load, r) in &series.points {
+                assert!(!r.saturated, "{} saturated at {load}", series.label);
+                assert!(r.messages > 0 && r.avg_latency > 0.0 && r.cycles > 0);
+                d.f64(*load);
+                d.result(r);
+            }
+            (series.label.clone(), d.0)
+        })
+        .collect();
     assert_golden(
         "paper grid",
         &actual,
@@ -337,30 +305,26 @@ fn trace_capture_and_replay_match_golden_digests() {
         .load(0.2)
         .build()
         .expect("valid");
-    let actual = across_toggles("trace", |mask| {
-        let (captured, trace) = toggled(source.to_builder(), mask)
-            .build()
-            .expect("valid")
-            .run_capturing();
-        let mut capture = Digest::new();
-        capture.result(&captured);
-        for e in trace.events() {
-            capture.u64(e.cycle);
-            capture.u64(e.src as u64);
-            capture.u64(e.dest as u64);
-            capture.u64(e.length as u64);
-        }
-        let replay = toggled(source.to_builder(), mask)
-            .trace(Arc::new(trace))
-            .build()
-            .expect("valid")
-            .run();
-        assert!(!replay.saturated && replay.messages > 0);
-        vec![
-            ("capture".to_string(), capture.0),
-            ("replay".to_string(), run_digest(&replay)),
-        ]
-    });
+    let (captured, trace) = source.run_capturing();
+    let mut capture = Digest::new();
+    capture.result(&captured);
+    for e in trace.events() {
+        capture.u64(e.cycle);
+        capture.u64(e.src as u64);
+        capture.u64(e.dest as u64);
+        capture.u64(e.length as u64);
+    }
+    let replay = source
+        .to_builder()
+        .trace(Arc::new(trace))
+        .build()
+        .expect("valid")
+        .run();
+    assert!(!replay.saturated && replay.messages > 0);
+    let actual = [
+        ("capture".to_string(), capture.0),
+        ("replay".to_string(), run_digest(&replay)),
+    ];
     assert_golden("trace", &actual, &[0x1445a87f9e0deda8, 0x69baa3ec181e5b4c]);
 }
 
@@ -425,15 +389,11 @@ fn interval_and_meta_tables_match_golden_digests() {
 
 /// A 4x4 network loaded with one 8-flit message per node, stepped
 /// directly for 3000 cycles (enough to drain).
-fn step_digest(lookahead: bool, mask: u8) -> u64 {
+fn step_digest(lookahead: bool) -> u64 {
     let mesh = Mesh::mesh_2d(4, 4);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-    let cfg = RouterConfig::paper_adaptive()
-        .with_lookahead(lookahead)
-        .with_fused_pipeline(mask & 2 != 0);
+    let cfg = RouterConfig::paper_adaptive().with_lookahead(lookahead);
     let mut net = Network::new(mesh.clone(), cfg, program, 1, 42);
-    net.set_active_scheduling(mask & 1 != 0);
-    net.set_batched_delivery(mask & 4 != 0);
     for src in mesh.nodes() {
         let dest = NodeId((src.0 * 11 + 3) % 16);
         if dest != src {
@@ -476,8 +436,10 @@ fn stepped_network_matches_golden_step_digests() {
     let actual: Vec<(String, u64)> = [false, true]
         .into_iter()
         .map(|lookahead| {
-            let digest = across_toggles("step", |mask| step_digest(lookahead, mask));
-            (format!("4x4 stepped la={lookahead}"), digest)
+            (
+                format!("4x4 stepped la={lookahead}"),
+                step_digest(lookahead),
+            )
         })
         .collect();
     assert_golden(
@@ -490,13 +452,11 @@ fn stepped_network_matches_golden_step_digests() {
 /// One router of a 1-D four-node mesh (node 1, routing toward node 3)
 /// with full downstream credits, fed four messages over three input VCs
 /// and stepped in isolation for 40 cycles.
-fn router_digest(lookahead: bool, fused: bool) -> u64 {
+fn router_digest(lookahead: bool) -> u64 {
     let mesh = Mesh::mesh(&[4]);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
     let node = NodeId(1);
-    let cfg = RouterConfig::paper_adaptive()
-        .with_lookahead(lookahead)
-        .with_fused_pipeline(fused);
+    let cfg = RouterConfig::paper_adaptive().with_lookahead(lookahead);
     let mut r = Router::new(
         node,
         mesh.ports_per_router(),
@@ -560,10 +520,7 @@ fn router_digest(lookahead: bool, fused: bool) -> u64 {
 fn router_launch_sequence_matches_golden_digests() {
     let actual: Vec<(String, u64)> = [false, true]
         .into_iter()
-        .map(|lookahead| {
-            let digest = across_toggles("router", |mask| router_digest(lookahead, mask & 2 != 0));
-            (format!("router la={lookahead}"), digest)
-        })
+        .map(|lookahead| (format!("router la={lookahead}"), router_digest(lookahead)))
         .collect();
     assert_golden(
         "router launches",

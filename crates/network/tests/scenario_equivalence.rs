@@ -1,9 +1,7 @@
 //! The Scenario API is a front end, not a fork: building the reference
 //! 16×16 synthetic scenario through `Scenario` must produce **bit-identical**
 //! `SimResult`s (cycles / messages / flit-hops / every latency float) to
-//! the classic `SimConfig` path, across the differential-testing toggles
-//! (active scheduling on/off × fused/staged pipeline × batched/per-flit
-//! delivery) and across arrival processes.
+//! the classic `SimConfig` path, across arrival processes.
 
 use lapses_network::scenario::Scenario;
 use lapses_network::{ArrivalKind, Pattern, SimConfig, SimResult};
@@ -52,49 +50,10 @@ fn scenario_compiles_to_the_identical_config_shape() {
 }
 
 #[test]
-fn reference_scenario_is_bit_identical_across_scheduler_toggles() {
-    for active in [true, false] {
-        let direct = reference_sim_config().with_active_scheduling(active).run();
-        let scenic = reference_scenario()
-            .to_builder()
-            .active_scheduling(active)
-            .build()
-            .unwrap()
-            .run();
-        assert_bit_identical(&scenic, &direct, &format!("active_scheduling={active}"));
-    }
-}
-
-#[test]
-fn reference_scenario_is_bit_identical_across_pipeline_and_delivery_toggles() {
-    let mut seen = Vec::new();
-    for fused in [true, false] {
-        for batched in [true, false] {
-            let direct = reference_sim_config()
-                .with_fused_pipeline(fused)
-                .with_batched_delivery(batched)
-                .run();
-            let scenic = reference_scenario()
-                .to_builder()
-                .fused_pipeline(fused)
-                .batched_delivery(batched)
-                .build()
-                .unwrap()
-                .run();
-            assert_bit_identical(
-                &scenic,
-                &direct,
-                &format!("fused={fused} batched={batched}"),
-            );
-            seen.push(scenic);
-        }
-    }
-    // The toggles themselves are also equivalence-preserving, so all four
-    // combinations must agree with each other — not just pairwise with
-    // their direct twin.
-    for r in &seen[1..] {
-        assert_eq!(r, &seen[0], "toggle combinations diverged");
-    }
+fn reference_scenario_is_bit_identical_to_the_sim_config_path() {
+    let direct = reference_sim_config().run();
+    let scenic = reference_scenario().run();
+    assert_bit_identical(&scenic, &direct, "reference point");
 }
 
 #[test]

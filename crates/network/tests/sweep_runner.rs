@@ -76,9 +76,9 @@ fn master_seed_changes_results_and_reproduces_exactly() {
 
 #[test]
 fn saturation_cutoff_propagates_to_the_report() {
-    // Overload a 4x4 mesh so the series saturates mid-sweep; the two
-    // higher loads must be absent from the report, exactly like the
-    // sequential SimConfig::sweep.
+    // Overload a 4x4 mesh so the series saturates mid-sweep: the series
+    // stops after its first saturated point (which is included), so the
+    // two higher loads must be absent from the report.
     let base = SimConfig::paper_adaptive(4, 4).with_message_counts(200, 1_200);
     let loads = [0.2, 3.0, 4.0, 5.0];
     let grid = SweepGrid::new().series("overload", base.clone(), &loads);

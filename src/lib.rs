@@ -142,11 +142,9 @@
 //! in a slab of per-message records, so buffer moves are single small
 //! memcpys — and launches stream from the router pipeline straight onto
 //! the wires through [`core::StepSink`] with no intermediate staging.
-//! All of this is **semantics-preserving**: results are bit-identical
-//! with the scheduler forced on or off
-//! ([`SimConfig::with_active_scheduling`](network::SimConfig::with_active_scheduling)),
-//! which the `scheduler_equivalence` integration test enforces across
-//! patterns, loads and pipelines.
+//! There is one cycle loop, and its simulated outcomes across patterns,
+//! loads, pipelines, tori, faults and workloads are pinned by the golden
+//! run digests in `crates/network/tests/golden_digests.rs`.
 //!
 //! The reference-sweep speedometer
 //! (`cargo bench -p lapses-bench --bench perf_sweep`) runs a pinned
