@@ -17,11 +17,14 @@
 //! * **router digest** — the per-cycle launch and credit sequence of one
 //!   [`Router`] stepped in isolation.
 //!
-//! The matrix covers the four paper patterns on PROUD and LA-PROUD, a
-//! saturated point (which pins the cut-off cycle), torus datelines, a
-//! faulty mesh under up*/down*-adaptive routing with economical tables,
-//! a bursty source, trace capture and replay, a two-cycle table lookup,
-//! and the interval and meta table schemes.
+//! The matrix covers the four paper patterns on PROUD and LA-PROUD (one
+//! test per pattern), the 16x16 reference point, a saturated point (which
+//! pins the cut-off cycle), torus datelines, a faulty mesh under
+//! up*/down*-adaptive routing with economical tables, a bursty source,
+//! trace capture and replay, a two-cycle table lookup, and the interval
+//! and meta table schemes. Stepped networks run three traffic shapes: one
+//! message per node, waves separated by idle gaps, and sustained
+//! contention.
 //!
 //! When a change is *meant* to alter simulated behavior, each failing
 //! test prints the new digests; re-record them together with the reason.
@@ -174,34 +177,31 @@ fn small(width: u16, height: u16) -> ScenarioBuilder {
         .seed(424242)
 }
 
-#[test]
-fn paper_grid_matches_golden_digests() {
-    // 8x8, the four paper patterns on PROUD and LA-PROUD at two loads,
-    // run by the parallel sweep runner.
+/// 8x8, one paper pattern on PROUD and LA-PROUD at two loads, run by the
+/// parallel sweep runner: one digest per router series.
+fn paper_grid_digests(pattern: Pattern) -> Vec<(String, u64)> {
     let mut grid = SweepGrid::new();
     for lookahead in [false, true] {
         let tag = if lookahead { "la" } else { "proud" };
-        for pattern in Pattern::PAPER_FOUR {
-            let scenario = small(8, 8)
-                .lookahead(lookahead)
-                .pattern(pattern)
-                .build()
-                .expect("valid");
-            grid = grid
-                .scenario_series(
-                    format!("{tag}/{}", pattern.name()),
-                    &scenario,
-                    &ScenarioAxis::Load(vec![0.1, 0.25]),
-                )
-                .expect("valid axis");
-        }
+        let scenario = small(8, 8)
+            .lookahead(lookahead)
+            .pattern(pattern)
+            .build()
+            .expect("valid");
+        grid = grid
+            .scenario_series(
+                format!("{tag}/{}", pattern.name()),
+                &scenario,
+                &ScenarioAxis::Load(vec![0.1, 0.25]),
+            )
+            .expect("valid axis");
     }
     let report = SweepRunner::new()
         .with_threads(2)
         .with_master_seed(424242)
         .run(&grid);
-    assert_eq!(report.series().len(), 8);
-    let actual: Vec<(String, u64)> = report
+    assert_eq!(report.series().len(), 2);
+    report
         .series()
         .iter()
         .map(|series| {
@@ -216,21 +216,79 @@ fn paper_grid_matches_golden_digests() {
             }
             (series.label.clone(), d.0)
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn paper_grid_uniform_matches_golden_digests() {
+    let actual = paper_grid_digests(Pattern::Uniform);
     assert_golden(
-        "paper grid",
+        "paper grid, uniform",
         &actual,
         &[
             0xf715fd9ca7280b88, // proud/uniform
-            0x6308934455524e2b, // proud/transpose
-            0x854de8e87d0ca443, // proud/bit-reversal
-            0x39d11747bad5ee13, // proud/perfect-shuffle
-            0x4031e4aaa6f6f92f, // la/uniform
-            0x22e5cd25d80ad477, // la/transpose
-            0xa2044d8deb42a1fa, // la/bit-reversal
-            0xa7343d1fc4b4614e, // la/perfect-shuffle
+            0x3bedc59792f8230e, // la/uniform
         ],
     );
+}
+
+#[test]
+fn paper_grid_transpose_matches_golden_digests() {
+    let actual = paper_grid_digests(Pattern::Transpose);
+    assert_golden(
+        "paper grid, transpose",
+        &actual,
+        &[
+            0xe73573a7bdff46ff, // proud/transpose
+            0xafea3399b30a5fd9, // la/transpose
+        ],
+    );
+}
+
+#[test]
+fn paper_grid_bit_reversal_matches_golden_digests() {
+    let actual = paper_grid_digests(Pattern::BitReversal);
+    assert_golden(
+        "paper grid, bit-reversal",
+        &actual,
+        &[
+            0xb9e9827d0883d71c, // proud/bit-reversal
+            0x422c587def2c3aec, // la/bit-reversal
+        ],
+    );
+}
+
+#[test]
+fn paper_grid_perfect_shuffle_matches_golden_digests() {
+    let actual = paper_grid_digests(Pattern::PerfectShuffle);
+    assert_golden(
+        "paper grid, perfect shuffle",
+        &actual,
+        &[
+            0xcb0bbd9a95354e56, // proud/perfect-shuffle
+            0xaf57e6d17caa78ff, // la/perfect-shuffle
+        ],
+    );
+}
+
+#[test]
+fn reference_scenario_matches_golden_digest() {
+    // The paper's 16x16 mesh and LA-ADAPT router under uniform traffic at
+    // 0.2 load: the reference point of `scenario_equivalence.rs`.
+    let scenario = Scenario::builder()
+        .mesh_2d(16, 16)
+        .lookahead(true)
+        .pattern(Pattern::Uniform)
+        .load(0.2)
+        .message_counts(300, 2_500)
+        .seed(1999)
+        .build()
+        .expect("valid");
+    let actual = [(
+        "16x16 reference".to_string(),
+        scenario_digest(&scenario, false),
+    )];
+    assert_golden("reference scenario", &actual, &[0x4b0cae78628c9f31]);
 }
 
 #[test]
@@ -387,21 +445,23 @@ fn interval_and_meta_tables_match_golden_digests() {
     );
 }
 
-/// A 4x4 network loaded with one 8-flit message per node, stepped
-/// directly for 3000 cycles (enough to drain).
-fn step_digest(lookahead: bool) -> u64 {
+/// A message offered to a directly stepped network:
+/// (cycle, source, destination, length in flits).
+type Offer = (u64, u32, u32, u32);
+
+/// Steps a 4x4 network for `cycles` cycles, offering each message of
+/// `traffic` just before the cycle it names, and folds the per-cycle
+/// summaries and the final statistics.
+fn step_digest(lookahead: bool, traffic: &[Offer], cycles: u64) -> u64 {
     let mesh = Mesh::mesh_2d(4, 4);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
     let cfg = RouterConfig::paper_adaptive().with_lookahead(lookahead);
-    let mut net = Network::new(mesh.clone(), cfg, program, 1, 42);
-    for src in mesh.nodes() {
-        let dest = NodeId((src.0 * 11 + 3) % 16);
-        if dest != src {
-            net.offer_message(src, dest, 8, Cycle::ZERO, true);
-        }
-    }
+    let mut net = Network::new(mesh, cfg, program, 1, 42);
     let mut d = Digest::new();
-    for t in 0..3_000 {
+    for t in 0..cycles {
+        for &(_, src, dest, length) in traffic.iter().filter(|o| o.0 == t) {
+            net.offer_message(NodeId(src), NodeId(dest), length, Cycle::new(t), true);
+        }
         let summary = net.step(Cycle::new(t));
         d.u64(summary.measured_deliveries as u64);
         d.u64(summary.moved as u64);
@@ -410,6 +470,7 @@ fn step_digest(lookahead: bool) -> u64 {
     }
     assert!(!net.has_traffic(), "traffic should have drained");
     net.assert_quiescent();
+    assert_eq!(net.latency().count(), traffic.len() as u64);
     let s = net.router_stats();
     for v in [
         s.flits_switched,
@@ -431,21 +492,67 @@ fn step_digest(lookahead: bool) -> u64 {
     d.0
 }
 
-#[test]
-fn stepped_network_matches_golden_step_digests() {
-    let actual: Vec<(String, u64)> = [false, true]
+/// Step digests of `traffic` on PROUD and on LA-PROUD.
+fn stepped_digests(traffic: &[Offer], cycles: u64) -> Vec<(String, u64)> {
+    [false, true]
         .into_iter()
         .map(|lookahead| {
             (
                 format!("4x4 stepped la={lookahead}"),
-                step_digest(lookahead),
+                step_digest(lookahead, traffic, cycles),
             )
         })
+        .collect()
+}
+
+#[test]
+fn stepped_network_matches_golden_step_digests() {
+    // One 8-flit message per node, all offered at cycle 0.
+    let traffic: Vec<Offer> = (0..16)
+        .map(|src| (0, src, (src * 11 + 3) % 16, 8))
+        .filter(|o| o.1 != o.2)
         .collect();
     assert_golden(
         "stepped network",
-        &actual,
+        &stepped_digests(&traffic, 3_000),
         &[0x4af0f3eb0dcdcde3, 0xbd11b2521e610e7d],
+    );
+}
+
+#[test]
+fn stepped_network_with_idle_gaps_matches_golden_step_digests() {
+    // Eight waves of 1- to 6-flit messages from a quarter of the nodes,
+    // 150 cycles apart: each wave drains before the next, so routers fall
+    // idle and are woken again by fresh arrivals.
+    let mut traffic: Vec<Offer> = Vec::new();
+    for wave in 0..8u32 {
+        for src in (0..16).filter(|s| (s + wave) % 4 == 0) {
+            let dest = (src * 7 + wave + 1) % 16;
+            if dest != src {
+                traffic.push((wave as u64 * 150, src, dest, 1 + (src + wave) % 6));
+            }
+        }
+    }
+    assert_golden(
+        "stepped network, idle gaps",
+        &stepped_digests(&traffic, 1_500),
+        &[0xfcb96e3c7de2058f, 0x4f156c0c7a8e170f],
+    );
+}
+
+#[test]
+fn stepped_contended_network_matches_golden_step_digests() {
+    // An 8-flit message for every third ordered node pair, all offered at
+    // cycle 0: sustained contention, with flits from several neighbours
+    // arriving at one router in the same cycle.
+    let traffic: Vec<Offer> = (0..16)
+        .flat_map(|src| (0..16).map(move |dest| (0, src, dest, 8)))
+        .filter(|o| o.1 != o.2 && (o.1 + o.2) % 3 == 0)
+        .collect();
+    assert_golden(
+        "stepped network, contended",
+        &stepped_digests(&traffic, 5_000),
+        &[0xc3012bdd12a2b6b6, 0x5231e88670532fd0],
     );
 }
 
