@@ -6,7 +6,7 @@
 //! every RNG draw, arbitration decision, latency sample and cut-off cycle
 //! keeps every digest; anything else moves at least one of them.
 //!
-//! Three digest granularities:
+//! Four digest granularities:
 //!
 //! * **run digest** — every field of every [`SimResult`], in report
 //!   order, floats by bit pattern and options tagged;
@@ -15,7 +15,11 @@
 //!   `backlog()`; at the end the router counters, every link load and
 //!   the latency mean and count;
 //! * **router digest** — the per-cycle launch and credit sequence of one
-//!   [`Router`] stepped in isolation.
+//!   [`Router`] stepped in isolation;
+//! * **table-program digest** — one faulty-network set-up stage, folded
+//!   over every node pair: the faulty hop distances, the up*/down* ranks
+//!   and escape ports, or one table program's entries and storage. Run
+//!   digests only see the entries a simulation happens to visit.
 //!
 //! The matrix covers the four paper patterns on PROUD and LA-PROUD (one
 //! test per pattern), the 16x16 reference point, a saturated point (which
@@ -24,13 +28,14 @@
 //! trace capture and replay, a two-cycle table lookup, and the interval
 //! and meta table schemes. Stepped networks run three traffic shapes: one
 //! message per node, waves separated by idle gaps, and sustained
-//! contention.
+//! contention. Table programs are pinned on an 8x8 mesh, a 4x4 torus with
+//! a dead wrap link, a 3x3x3 mesh and the 32x32 benchmark instance.
 //!
 //! When a change is *meant* to alter simulated behavior, each failing
 //! test prints the new digests; re-record them together with the reason.
 
 use lapses_core::router::INFINITE_CREDITS;
-use lapses_core::tables::FullTable;
+use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable};
 use lapses_core::{
     Flit, FlitKind, MessageId, MsgRef, RouteEntry, Router, RouterConfig, RouterTable, TableScheme,
 };
@@ -38,10 +43,10 @@ use lapses_network::{
     Algorithm, Network, Pattern, Scenario, ScenarioAxis, ScenarioBuilder, SimResult, SweepGrid,
     SweepRunner, TableKind,
 };
-use lapses_routing::DuatoAdaptive;
+use lapses_routing::{DuatoAdaptive, RoutingAlgorithm, UpDown};
 use lapses_sim::rng::mix64;
 use lapses_sim::{Cycle, SimRng};
-use lapses_topology::{Mesh, NodeId, Port};
+use lapses_topology::{FaultSet, FaultyMesh, Mesh, NodeId, Port};
 use std::sync::Arc;
 
 /// An order-sensitive 64-bit fold.
@@ -633,5 +638,149 @@ fn router_launch_sequence_matches_golden_digests() {
         "router launches",
         &actual,
         &[0x19250235165516a6, 0x0cb809c31cc4a6a0],
+    );
+}
+
+/// Folds everything a faulty-network set-up computes: every hop distance
+/// of the faulty graph, every up*/down* rank and escape port, and every
+/// table entry plus the storage cost of the full, economical and interval
+/// programs under deterministic and adaptive up*/down*. One digest per
+/// stage, so a moved digest names the pass that changed.
+fn table_program_digests(mesh: Mesh, faults: FaultSet) -> Vec<(String, u64)> {
+    let fmesh = Arc::new(FaultyMesh::new(mesh, faults).expect("connected"));
+    let mesh = fmesh.mesh().clone();
+    let mut out = Vec::new();
+
+    let mut d = Digest::new();
+    for a in mesh.nodes() {
+        for b in mesh.nodes() {
+            d.u64(fmesh.distance(a, b) as u64);
+        }
+    }
+    out.push(("distances".to_string(), d.0));
+
+    let programs = [
+        UpDown::new(Arc::clone(&fmesh)),
+        UpDown::adaptive(Arc::clone(&fmesh)),
+    ];
+    let mut d = Digest::new();
+    for node in mesh.nodes() {
+        d.u64(programs[0].rank_of(node) as u64);
+    }
+    for here in mesh.nodes() {
+        for dest in mesh.nodes() {
+            let port = programs[0].escape_port(&mesh, here, dest);
+            d.u64(port.map_or(u64::MAX, |p| p.index() as u64));
+        }
+    }
+    out.push(("up*/down* ranks and escapes".to_string(), d.0));
+
+    for algo in &programs {
+        let tables: [Box<dyn TableScheme>; 3] = [
+            Box::new(FullTable::program_faulty(&fmesh, algo)),
+            Box::new(EconomicalTable::program_faulty(&fmesh, algo)),
+            Box::new(IntervalTable::program_faulty(&fmesh, algo)),
+        ];
+        for table in &tables {
+            let mut d = Digest::new();
+            for node in mesh.nodes() {
+                for dest in mesh.nodes() {
+                    d.entry(&Some(table.entry(node, dest)));
+                }
+            }
+            let storage = table.storage();
+            d.u64(storage.entries_per_router as u64);
+            d.u64(storage.bits_per_entry as u64);
+            d.u64(storage.lookahead_bits_per_entry as u64);
+            out.push((format!("{}/{}", table.name(), algo.name()), d.0));
+        }
+    }
+    out
+}
+
+#[test]
+fn table_program_8x8_mesh_with_faults_matches_golden_digests() {
+    let mesh = Mesh::mesh_2d(8, 8);
+    let faults = FaultSet::random(&mesh, 4, 31).expect("placeable");
+    let actual = table_program_digests(mesh, faults);
+    assert_golden(
+        "8x8 table programs",
+        &actual,
+        &[
+            0x450a4630561ea337, // distances
+            0x8961fba83673d662, // up*/down* ranks and escapes
+            0xe26882bb7b03d56c, // full/Up-Down
+            0xbc72c005618c6440, // economical/Up-Down
+            0xa7b609145c0a10c4, // interval/Up-Down
+            0xeb3a6ffd037e81c7, // full/Up-Down-Adaptive
+            0x6f3d3759fff8955a, // economical/Up-Down-Adaptive
+            0xa7b609145c0a10c4, // interval/Up-Down-Adaptive
+        ],
+    );
+}
+
+#[test]
+fn table_program_torus_with_dead_wrap_link_matches_golden_digests() {
+    let torus = Mesh::torus_2d(4, 4);
+    // The wrap link between (0,0) and (3,0).
+    let faults = FaultSet::new(&torus, &[(NodeId(0), NodeId(3))]).expect("a link");
+    let actual = table_program_digests(torus, faults);
+    assert_golden(
+        "4x4 torus table programs",
+        &actual,
+        &[
+            0x6597d684aa00a70b, // distances
+            0xb6a8fbb9b2e2c692, // up*/down* ranks and escapes
+            0x8bae61bd21cb409e, // full/Up-Down
+            0x6a817a41e19291f1, // economical/Up-Down
+            0x16dcc1111af98314, // interval/Up-Down
+            0x9c1f0d24f6c4a178, // full/Up-Down-Adaptive
+            0x9c1f0d24f6c4a178, // economical/Up-Down-Adaptive
+            0x16dcc1111af98314, // interval/Up-Down-Adaptive
+        ],
+    );
+}
+
+#[test]
+fn table_program_3d_mesh_with_faults_matches_golden_digests() {
+    let mesh = Mesh::mesh_3d(3, 3, 3);
+    let faults = FaultSet::random(&mesh, 4, 11).expect("placeable");
+    let actual = table_program_digests(mesh, faults);
+    assert_golden(
+        "3x3x3 table programs",
+        &actual,
+        &[
+            0xa69bf16685e6eabb, // distances
+            0x9191d0c0caa94963, // up*/down* ranks and escapes
+            0xb60cdd989636e042, // full/Up-Down
+            0x17c77cdbf2131878, // economical/Up-Down
+            0xb60cdd989636e042, // interval/Up-Down
+            0x42b068d43f40931c, // full/Up-Down-Adaptive
+            0x5050d303b578c873, // economical/Up-Down-Adaptive
+            0xb60cdd989636e042, // interval/Up-Down-Adaptive
+        ],
+    );
+}
+
+/// The `faulty_32x32` benchmark instance: 32x32, 16 dead links drawn
+/// from seed 1999.
+#[test]
+fn table_program_32x32_benchmark_instance_matches_golden_digests() {
+    let mesh = Mesh::mesh_2d(32, 32);
+    let faults = FaultSet::random(&mesh, 16, 1999).expect("placeable");
+    let actual = table_program_digests(mesh, faults);
+    assert_golden(
+        "32x32 table programs",
+        &actual,
+        &[
+            0x77951e56029d1fa4, // distances
+            0xa3a1dddc9f941141, // up*/down* ranks and escapes
+            0x5261957a98b1aa7d, // full/Up-Down
+            0x4e309e312fc5f0ca, // economical/Up-Down
+            0x5d836cea4131d40c, // interval/Up-Down
+            0x6c794fe2cbec976b, // full/Up-Down-Adaptive
+            0x22eff6ae0fc48fff, // economical/Up-Down-Adaptive
+            0x5d836cea4131d40c, // interval/Up-Down-Adaptive
+        ],
     );
 }
