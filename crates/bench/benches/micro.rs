@@ -6,7 +6,10 @@
 //!   9-entry economical table;
 //! * path-selection decision cost per heuristic;
 //! * a full network cycle of the 16×16 mesh under load (simulator
-//!   throughput, flits moved per second of wall time).
+//!   throughput, flits moved per second of wall time);
+//! * the faulty-network set-up layers — the faulty-mesh build, the
+//!   up*/down* compile and economical-table programming — one at a time
+//!   on the `faulty_32x32` benchmark instance.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
@@ -14,9 +17,9 @@ use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
 use lapses_core::{Flit, MessageId, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
 use lapses_network::{Pattern, SimConfig};
-use lapses_routing::DuatoAdaptive;
+use lapses_routing::{DuatoAdaptive, UpDown};
 use lapses_sim::{Cycle, SimRng};
-use lapses_topology::{Direction, Mesh, NodeId, Port};
+use lapses_topology::{Direction, FaultSet, FaultyMesh, Mesh, NodeId, Port};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -272,12 +275,34 @@ fn bench_network_cycle(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three faulty-network set-up layers on the `faulty_32x32` benchmark
+/// instance (32×32 mesh, 16 dead links drawn from seed 1999), each timed
+/// alone so a change to one layer can be A/B'd without the others.
+fn bench_faulty_setup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("faulty_setup");
+    group.sample_size(10);
+    let mesh = Mesh::mesh_2d(32, 32);
+    let faults = FaultSet::random(&mesh, 16, 1999).expect("placeable");
+    group.bench_function("faulty_mesh_new", |b| {
+        b.iter(|| FaultyMesh::new(mesh.clone(), faults.clone()).expect("connected"))
+    });
+    let fmesh = Arc::new(FaultyMesh::new(mesh, faults).expect("connected"));
+    group.bench_function("updown_adaptive_compile", |b| {
+        b.iter(|| UpDown::adaptive(Arc::clone(&fmesh)))
+    });
+    let algo = UpDown::adaptive(Arc::clone(&fmesh));
+    group.bench_function("economical_program_faulty", |b| {
+        b.iter(|| EconomicalTable::program_faulty(&fmesh, &algo))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_table_lookup, bench_path_selection, bench_router_step, bench_delivery,
-        bench_network_cycle
+        bench_network_cycle, bench_faulty_setup
 }
 criterion_main!(benches);

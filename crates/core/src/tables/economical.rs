@@ -3,7 +3,7 @@
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::{torus_dateline_subclass, RoutingAlgorithm};
-use lapses_topology::{FaultyMesh, Mesh, NodeId, Sign, SignVec};
+use lapses_topology::{Coord, FaultyMesh, Mesh, NodeId, Sign, SignVec};
 
 /// The 3ⁿ-entry economical-storage (ES) routing table.
 ///
@@ -139,10 +139,16 @@ impl EconomicalTable {
         let n = mesh.node_count();
         let mut entries = vec![vec![RouteEntry::unprogrammed(); table_len]; n];
         let mut exceptions = vec![Vec::new(); n];
+        let coords: Vec<Coord> = mesh.nodes().map(|v| mesh.coord_of(v)).collect();
+        // Scratch reused across routers: the sign-class buckets and the
+        // per-class entry tally.
+        let mut by_class: Vec<Vec<(u32, RouteEntry)>> = vec![Vec::new(); table_len];
+        let mut tally: Vec<(RouteEntry, usize)> = Vec::new();
 
         for node in mesh.nodes() {
             // Gather every destination's true entry, grouped by sign class.
-            let mut by_class: Vec<Vec<(u32, RouteEntry)>> = vec![Vec::new(); table_len];
+            by_class.iter_mut().for_each(Vec::clear);
+            let here = &coords[node.index()];
             for dest in mesh.nodes() {
                 let entry = if node == dest {
                     RouteEntry::local()
@@ -153,7 +159,7 @@ impl EconomicalTable {
                         escape_subclass: algo.escape_subclass(mesh, node, dest) as u8,
                     }
                 };
-                let idx = relative_sign(mesh, node, dest).table_index();
+                let idx = coord_sign(mesh, here, &coords[dest.index()]).table_index();
                 by_class[idx].push((dest.0, entry));
             }
             // Base entry per class: the mode, first-appearance tie-break
@@ -162,7 +168,7 @@ impl EconomicalTable {
                 if members.is_empty() {
                     continue;
                 }
-                let mut tally: Vec<(RouteEntry, usize)> = Vec::new();
+                tally.clear();
                 for (_, e) in members {
                     match tally.iter_mut().find(|(t, _)| t == e) {
                         Some((_, c)) => *c += 1,
@@ -217,8 +223,12 @@ impl EconomicalTable {
 /// when aligned. On a mesh this is the plain coordinate-difference sign of
 /// §5.2.1.
 pub fn relative_sign(mesh: &Mesh, node: NodeId, dest: NodeId) -> SignVec {
-    let h = mesh.coord_of(node);
-    let d = mesh.coord_of(dest);
+    coord_sign(mesh, &mesh.coord_of(node), &mesh.coord_of(dest))
+}
+
+/// [`relative_sign`] on already-decoded coordinates `h` (here) and `d`
+/// (destination).
+fn coord_sign(mesh: &Mesh, h: &Coord, d: &Coord) -> SignVec {
     let mut signs = [Sign::Zero; lapses_topology::MAX_DIMS];
     for (dim, s) in signs.iter_mut().enumerate().take(mesh.dims()) {
         *s = if !mesh.is_torus() {

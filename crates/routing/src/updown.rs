@@ -26,9 +26,14 @@
 //!   Duato-style escape — Silla & Duato's minimal-adaptive protocol for
 //!   irregular topologies.
 //!
-//! Routes are precomputed at construction (one reverse-BFS plus one
-//! rank-ordered scan per destination), so the [`RoutingAlgorithm`]
-//! queries used by table programming are O(1).
+//! Routes are precomputed at construction: one BFS for the ranks, then
+//! per destination a reverse BFS over the down links, one rank-ordered
+//! cost scan and one port choice per node. Every step of those passes
+//! walks a node's surviving links through [`FaultyMesh::alive_links`],
+//! an array read from the faulty mesh's adjacency table, so a compile
+//! costs O(n² · ports) loads for `n` nodes and no coordinate decodes.
+//! The [`RoutingAlgorithm`] queries used by table programming are then
+//! O(1) for the escape port and O(ports) for the adaptive candidates.
 //!
 //! # Example
 //!
@@ -100,10 +105,7 @@ impl UpDown {
             queue.push_back(dest);
             while let Some(x) = queue.pop_front() {
                 let d = dist_down[x.index()];
-                for p in fmesh.alive_ports(x).iter() {
-                    let u = fmesh
-                        .neighbor(x, p.direction().expect("direction port"))
-                        .expect("alive link exists");
+                for (_, u) in fmesh.alive_links(x) {
                     if rank[u.index()] < rank[x.index()] && dist_down[u.index()] == u32::MAX {
                         dist_down[u.index()] = d + 1;
                         queue.push_back(u);
@@ -120,10 +122,7 @@ impl UpDown {
             for &v in &by_rank {
                 let v = NodeId(v);
                 let mut best = dist_down[v.index()];
-                for p in fmesh.alive_ports(v).iter() {
-                    let w = fmesh
-                        .neighbor(v, p.direction().expect("direction port"))
-                        .expect("alive link exists");
+                for (_, w) in fmesh.alive_links(v) {
                     if rank[w.index()] < rank[v.index()] {
                         best = best.min(cost[w.index()].saturating_add(1));
                     }
@@ -138,10 +137,7 @@ impl UpDown {
                     continue;
                 }
                 let mut chosen: Option<(u32, Port)> = None;
-                for p in fmesh.alive_ports(node).iter() {
-                    let nb = fmesh
-                        .neighbor(node, p.direction().expect("direction port"))
-                        .expect("alive link exists");
+                for (p, nb) in fmesh.alive_links(node) {
                     let key = if dist_down[node.index()] != u32::MAX {
                         // Down phase: a down link one step closer on the
                         // down-only metric.
@@ -185,10 +181,7 @@ impl UpDown {
         level[0] = 0;
         let mut queue = VecDeque::from([NodeId(0)]);
         while let Some(node) = queue.pop_front() {
-            for p in fmesh.alive_ports(node).iter() {
-                let nb = fmesh
-                    .neighbor(node, p.direction().expect("direction port"))
-                    .expect("alive link exists");
+            for (_, nb) in fmesh.alive_links(node) {
                 if level[nb.index()] == u32::MAX {
                     level[nb.index()] = level[node.index()] + 1;
                     queue.push_back(nb);

@@ -241,16 +241,11 @@ fn all_links(mesh: &Mesh) -> Vec<(NodeId, NodeId)> {
     links
 }
 
-/// BFS connectivity over the surviving links.
+/// BFS connectivity over the surviving links, straight from the mesh:
+/// [`FaultSet::random`] asks once per candidate fault, before any
+/// [`FaultyMesh`] exists.
 fn is_connected(mesh: &Mesh, faults: &FaultSet) -> bool {
-    reachable_from_zero(mesh, faults) == mesh.node_count()
-}
-
-fn reachable_from_zero(mesh: &Mesh, faults: &FaultSet) -> usize {
     let n = mesh.node_count();
-    if n == 0 {
-        return 0;
-    }
     let mut seen = vec![false; n];
     let mut queue = std::collections::VecDeque::from([NodeId(0)]);
     seen[0] = true;
@@ -270,89 +265,113 @@ fn reachable_from_zero(mesh: &Mesh, faults: &FaultSet) -> usize {
             }
         }
     }
-    count
+    count == n
 }
 
 /// A mesh or torus with a set of dead links: the topology surface the
 /// fault-tolerant routing and table-programming layers consume.
 ///
-/// All-pairs distances over the surviving links are precomputed at
-/// construction (one BFS per node), so [`FaultyMesh::distance`] and
-/// [`FaultyMesh::productive_ports`] are O(1)/O(ports) lookups like their
-/// perfect-mesh counterparts.
+/// Construction asks the mesh for each node's neighbors once, building a
+/// flat adjacency table — `links[node * ports + port]`, the neighbor
+/// behind every direction port (or none at a mesh edge) — and a per-node
+/// [`PortSet`] of the ports whose link survives. Every later query is an
+/// array load: [`FaultyMesh::neighbor`], [`FaultyMesh::is_dead`],
+/// [`FaultyMesh::alive_ports`] and [`FaultyMesh::alive_links`] read the
+/// two tables, and all-pairs distances over the surviving links are one
+/// BFS per node over them, so [`FaultyMesh::distance`] is one load and
+/// [`FaultyMesh::productive_ports`] one load per surviving port.
+///
+/// The set-up passes built on top — the up*/down* compile and the table
+/// programs — are a fixed number of BFS passes or node-pair scans, each
+/// step of which reads these tables instead of decoding coordinates.
 #[derive(Debug, Clone)]
 pub struct FaultyMesh {
     mesh: Mesh,
     faults: FaultSet,
-    /// Per node: direction-ports whose link is dead.
-    dead_ports: Vec<PortSet>,
+    /// Flattened `links[node * ports + port]` (`ports` per router, local
+    /// port included): the neighbor behind each direction port, dead or
+    /// alive; [`NO_LINK`] at mesh edges and for the local port.
+    links: Vec<u32>,
+    /// Per node: the direction ports whose link exists and survives.
+    alive: Vec<PortSet>,
     /// Flattened `dist[a * n + b]` over surviving links.
     dist: Vec<u32>,
 }
+
+/// The `links` sentinel for a port with no link behind it.
+const NO_LINK: u32 = u32::MAX;
 
 impl FaultyMesh {
     /// Builds the faulty view, re-validating the fault set against this
     /// mesh and rejecting sets that disconnect it.
     pub fn new(mesh: Mesh, faults: FaultSet) -> Result<FaultyMesh, FaultError> {
-        for &(a, b) in faults.links() {
-            if !are_linked(&mesh, a, b) {
-                return Err(FaultError::NotALink { a, b });
+        let n = mesh.node_count();
+        let ports = mesh.ports_per_router();
+        let mut links = vec![NO_LINK; n * ports];
+        let mut alive = vec![PortSet::EMPTY; n];
+        for node in mesh.nodes() {
+            for port in mesh.direction_ports() {
+                let dir = port.direction().expect("direction port");
+                if let Some(nb) = mesh.neighbor(node, dir) {
+                    links[node.index() * ports + port.index()] = nb.0;
+                    alive[node.index()].insert(port);
+                }
             }
         }
-        let reachable = reachable_from_zero(&mesh, &faults);
-        if reachable != mesh.node_count() {
-            return Err(FaultError::Disconnected {
-                reachable,
-                nodes: mesh.node_count(),
-            });
-        }
-
-        let n = mesh.node_count();
-        let mut dead_ports = vec![PortSet::EMPTY; n];
+        // Kill each fault in both directions, re-validating it against
+        // this mesh: a pair that names no link finds no port.
         for &(a, b) in faults.links() {
             for (from, to) in [(a, b), (b, a)] {
-                for dim in 0..mesh.dims() {
-                    for dir in [Direction::plus(dim), Direction::minus(dim)] {
-                        if mesh.neighbor(from, dir) == Some(to) {
-                            dead_ports[from.index()].insert(Port::from(dir));
-                        }
-                    }
-                }
+                let port = (from.index() < n)
+                    .then(|| &links[from.index() * ports..(from.index() + 1) * ports])
+                    .and_then(|row| row.iter().position(|&nb| nb == to.0))
+                    .ok_or(FaultError::NotALink { a, b })?;
+                alive[from.index()].remove(Port::from_index(port));
             }
         }
 
         let mut fmesh = FaultyMesh {
             mesh,
             faults,
-            dead_ports,
+            links,
+            alive,
             dist: Vec::new(),
         };
-        fmesh.dist = fmesh.all_pairs_distances();
-        Ok(fmesh)
-    }
-
-    /// One BFS per source over the surviving links.
-    fn all_pairs_distances(&self) -> Vec<u32> {
-        let n = self.mesh.node_count();
         let mut dist = vec![u32::MAX; n * n];
-        let mut queue = std::collections::VecDeque::new();
-        for src in self.mesh.nodes() {
-            let row = &mut dist[src.index() * n..(src.index() + 1) * n];
-            row[src.index()] = 0;
-            queue.clear();
-            queue.push_back(src);
-            while let Some(node) = queue.pop_front() {
-                let d = row[node.index()];
-                for dir in self.alive_dirs(node) {
-                    let nb = self.mesh.neighbor(node, dir).expect("alive link exists");
-                    if row[nb.index()] == u32::MAX {
-                        row[nb.index()] = d + 1;
-                        queue.push_back(nb);
-                    }
+        let mut queue = Vec::with_capacity(n);
+        for (src, row) in dist.chunks_exact_mut(n).enumerate() {
+            fmesh.bfs(NodeId(src as u32), row, &mut queue);
+            if src == 0 {
+                let reachable = row.iter().filter(|&&d| d != u32::MAX).count();
+                if reachable != n {
+                    return Err(FaultError::Disconnected {
+                        reachable,
+                        nodes: n,
+                    });
                 }
             }
         }
-        dist
+        fmesh.dist = dist;
+        Ok(fmesh)
+    }
+
+    /// One BFS from `src` over the surviving links, filling `dist` (all
+    /// `u32::MAX` on entry); `queue` is scratch reused across sources.
+    fn bfs(&self, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
+        dist[src.index()] = 0;
+        queue.clear();
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&node) = queue.get(head) {
+            head += 1;
+            let d = dist[node.index()];
+            for (_, nb) in self.alive_links(node) {
+                if dist[nb.index()] == u32::MAX {
+                    dist[nb.index()] = d + 1;
+                    queue.push(nb);
+                }
+            }
+        }
     }
 
     /// The underlying perfect topology.
@@ -370,34 +389,70 @@ impl FaultyMesh {
         self.mesh.node_count()
     }
 
-    /// Whether the link out of `node` along `direction` is dead.
+    /// The `links` slot of `node`'s port toward `direction`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the direction's dimension is outside this topology or
+    /// the node is out of range — the same checks [`Mesh::neighbor`]
+    /// makes, and what keeps a flat index from reading the next node's
+    /// row.
+    fn slot(&self, node: NodeId, direction: Direction) -> (Port, usize) {
+        assert!(
+            direction.dim() < self.mesh.dims(),
+            "direction {direction} out of range"
+        );
+        assert!(
+            node.index() < self.node_count(),
+            "node {node} out of range for {}",
+            self.mesh
+        );
+        let port = Port::from(direction);
+        (
+            port,
+            node.index() * self.mesh.ports_per_router() + port.index(),
+        )
+    }
+
+    /// Whether the link out of `node` along `direction` is dead. An
+    /// absent link (mesh edge) is not dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the direction's dimension is outside this topology or
+    /// the node is out of range.
     pub fn is_dead(&self, node: NodeId, direction: Direction) -> bool {
-        self.dead_ports[node.index()].contains(Port::from(direction))
+        let (port, slot) = self.slot(node, direction);
+        self.links[slot] != NO_LINK && !self.alive[node.index()].contains(port)
     }
 
     /// The neighbor over a *surviving* link, or `None` when the link is
     /// dead or absent (mesh edge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the direction's dimension is outside this topology or
+    /// the node is out of range.
     pub fn neighbor(&self, node: NodeId, direction: Direction) -> Option<NodeId> {
-        if self.is_dead(node, direction) {
-            return None;
-        }
-        self.mesh.neighbor(node, direction)
+        let (port, slot) = self.slot(node, direction);
+        self.alive[node.index()]
+            .contains(port)
+            .then(|| NodeId(self.links[slot]))
     }
 
     /// The direction-ports of `node` with surviving links.
     pub fn alive_ports(&self, node: NodeId) -> PortSet {
-        self.mesh
-            .direction_ports()
-            .filter(|p| {
-                let dir = p.direction().expect("direction port");
-                !self.is_dead(node, dir) && self.mesh.neighbor(node, dir).is_some()
-            })
-            .collect()
+        self.alive[node.index()]
     }
 
-    /// Directions of `node`'s surviving links.
-    fn alive_dirs(&self, node: NodeId) -> impl Iterator<Item = Direction> + '_ {
-        self.alive_ports(node).iter().filter_map(|p| p.direction())
+    /// `node`'s surviving links as `(port, neighbor)` pairs, in ascending
+    /// port order.
+    pub fn alive_links(&self, node: NodeId) -> impl Iterator<Item = (Port, NodeId)> + '_ {
+        let ports = self.mesh.ports_per_router();
+        let row = &self.links[node.index() * ports..(node.index() + 1) * ports];
+        self.alive[node.index()]
+            .iter()
+            .map(move |p| (p, NodeId(row[p.index()])))
     }
 
     /// Hop distance between two nodes over surviving links.
@@ -414,16 +469,19 @@ impl FaultyMesh {
     /// The surviving output ports that move a message strictly closer to
     /// `dest` in the faulty graph — the fault-aware generalization of
     /// [`Mesh::productive_ports`]. Empty exactly when `from == dest`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
     pub fn productive_ports(&self, from: NodeId, dest: NodeId) -> PortSet {
         if from == dest {
             return PortSet::EMPTY;
         }
         let here = self.distance(from, dest);
         let mut set = PortSet::EMPTY;
-        for dir in self.alive_dirs(from) {
-            let nb = self.mesh.neighbor(from, dir).expect("alive link exists");
+        for (port, nb) in self.alive_links(from) {
             if self.distance(nb, dest) + 1 == here {
-                set.insert(Port::from(dir));
+                set.insert(port);
             }
         }
         set
@@ -509,6 +567,23 @@ mod tests {
     }
 
     #[test]
+    fn faults_of_another_topology_are_rejected() {
+        // A torus wrap link and an out-of-range pair are no links of the
+        // 4x4 mesh.
+        let wrap = FaultSet::new(&Mesh::torus_2d(4, 4), &[(NodeId(0), NodeId(3))]).unwrap();
+        let far = FaultSet::new(&Mesh::mesh_2d(8, 8), &[(NodeId(62), NodeId(63))]).unwrap();
+        for (faults, (a, b)) in [(wrap, (0, 3)), (far, (62, 63))] {
+            assert_eq!(
+                FaultyMesh::new(mesh4(), faults).unwrap_err(),
+                FaultError::NotALink {
+                    a: NodeId(a),
+                    b: NodeId(b)
+                }
+            );
+        }
+    }
+
+    #[test]
     fn duplicates_are_rejected() {
         let mesh = mesh4();
         let link = (NodeId(0), NodeId(1));
@@ -581,6 +656,36 @@ mod tests {
                 assert_ne!(fmesh.distance(a, b), u32::MAX, "{a}->{b} unreachable");
             }
         }
+    }
+
+    /// On a 4x4 mesh (5 ports per router) `-d2` would be port 6, which a
+    /// flat `links` index resolves to the next node's row.
+    #[test]
+    #[should_panic(expected = "direction -d2 out of range")]
+    fn neighbor_rejects_a_direction_outside_the_topology() {
+        let fmesh = FaultyMesh::new(mesh4(), FaultSet::empty()).unwrap();
+        let _ = fmesh.neighbor(NodeId(5), Direction::minus(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "direction +d2 out of range")]
+    fn is_dead_rejects_a_direction_outside_the_topology() {
+        let fmesh = FaultyMesh::new(mesh4(), FaultSet::empty()).unwrap();
+        let _ = fmesh.is_dead(NodeId(5), Direction::plus(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "node n16 out of range")]
+    fn neighbor_rejects_an_out_of_range_node() {
+        let fmesh = FaultyMesh::new(mesh4(), FaultSet::empty()).unwrap();
+        let _ = fmesh.neighbor(NodeId(16), Direction::plus(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "node n16 out of range")]
+    fn is_dead_rejects_an_out_of_range_node() {
+        let fmesh = FaultyMesh::new(mesh4(), FaultSet::empty()).unwrap();
+        let _ = fmesh.is_dead(NodeId(16), Direction::minus(0));
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! up*/down* routing the economical tables are programmed with is safe:
 //! the escape channel-dependency graph is acyclic (Dally's criterion, via
 //! the `cdg` machinery), every source/destination pair still has a
-//! terminating route, and a short simulation run drains. `PROPTEST_CASES`
-//! bounds the suite from the outside so tier-1 stays fast; CI's
-//! `scenarios` job pins it at 64 cases.
+//! terminating route, and a short simulation run drains. A second
+//! property checks the faulty mesh's adjacency table against a naive
+//! reference built from `Mesh::neighbor` and `FaultSet::contains`, on
+//! 2-D meshes, 2-D tori and 3-D meshes. `PROPTEST_CASES` bounds the
+//! suite from the outside so tier-1 stays fast; CI's `scenarios` job
+//! pins it at 64 cases.
 
 use lapses::prelude::*;
 use lapses::routing::cdg::ChannelGraph;
+use lapses::topology::Direction;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
@@ -19,6 +24,47 @@ fn arb_mesh() -> impl Strategy<Value = Mesh> {
         (4u16..=8, 4u16..=8).prop_map(|(w, h)| Mesh::mesh_2d(w, h)),
         (3u16..=4, 3u16..=4, 3u16..=4).prop_map(|(x, y, z)| Mesh::mesh_3d(x, y, z)),
     ]
+}
+
+fn arb_topology() -> impl Strategy<Value = Mesh> {
+    prop_oneof![
+        (3u16..=8, 3u16..=8).prop_map(|(w, h)| Mesh::mesh_2d(w, h)),
+        (3u16..=6, 3u16..=6).prop_map(|(w, h)| Mesh::torus_2d(w, h)),
+        (2u16..=4, 2u16..=4, 2u16..=4).prop_map(|(x, y, z)| Mesh::mesh_3d(x, y, z)),
+    ]
+}
+
+/// Every direction of the topology, in port order.
+fn directions(mesh: &Mesh) -> Vec<Direction> {
+    (0..mesh.dims())
+        .flat_map(|d| [Direction::plus(d), Direction::minus(d)])
+        .collect()
+}
+
+/// The reference neighbor: the perfect mesh's, unless the fault set kills
+/// the link.
+fn naive_neighbor(mesh: &Mesh, faults: &FaultSet, node: NodeId, dir: Direction) -> Option<NodeId> {
+    mesh.neighbor(node, dir)
+        .filter(|&nb| !faults.contains(node, nb))
+}
+
+/// The reference distances from `src`: a plain BFS over
+/// [`naive_neighbor`].
+fn naive_distances(mesh: &Mesh, faults: &FaultSet, src: NodeId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; mesh.node_count()];
+    dist[src.index()] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(node) = queue.pop_front() {
+        for dir in directions(mesh) {
+            if let Some(nb) = naive_neighbor(mesh, faults, node, dir) {
+                if dist[nb.index()] == u32::MAX {
+                    dist[nb.index()] = dist[node.index()] + 1;
+                    queue.push_back(nb);
+                }
+            }
+        }
+    }
+    dist
 }
 
 /// Walks the escape relation from `src` to `dest` over surviving links,
@@ -104,6 +150,61 @@ proptest! {
         let r = cfg.run();
         prop_assert!(!r.saturated, "faulty instance failed to drain");
         prop_assert_eq!(r.messages, 250);
+    }
+
+    /// The faulty mesh's adjacency table and distances agree with a naive
+    /// reference derived per query from the perfect mesh and the fault
+    /// set, for every node, direction and node pair.
+    #[test]
+    fn adjacency_table_matches_the_naive_reference(
+        mesh in arb_topology(),
+        count in 0usize..=8,
+        fault_seed in 0u64..10_000,
+    ) {
+        // At most the links outside a spanning tree can die; the greedy
+        // draw in `FaultSet::random` always places that many.
+        let links: usize = mesh
+            .nodes()
+            .map(|v| directions(&mesh).iter().filter(|&&d| mesh.neighbor(v, d).is_some()).count())
+            .sum::<usize>()
+            / 2;
+        let count = count.min(links - (mesh.node_count() - 1));
+        let faults = FaultSet::random(&mesh, count, fault_seed).expect("count fits");
+        let fmesh = FaultyMesh::new(mesh.clone(), faults.clone()).expect("random sets stay connected");
+
+        let dist: Vec<Vec<u32>> = mesh.nodes().map(|v| naive_distances(&mesh, &faults, v)).collect();
+        for node in mesh.nodes() {
+            let mut alive = PortSet::EMPTY;
+            let mut alive_links = Vec::new();
+            for dir in directions(&mesh) {
+                let expected = naive_neighbor(&mesh, &faults, node, dir);
+                let dead = mesh.neighbor(node, dir).is_some_and(|nb| faults.contains(node, nb));
+                prop_assert_eq!(fmesh.neighbor(node, dir), expected, "{} {} on {}", node, dir, mesh);
+                prop_assert_eq!(fmesh.is_dead(node, dir), dead, "{} {} on {}", node, dir, mesh);
+                if let Some(nb) = expected {
+                    alive.insert(Port::from(dir));
+                    alive_links.push((Port::from(dir), nb));
+                }
+            }
+            prop_assert_eq!(fmesh.alive_ports(node), alive);
+            prop_assert_eq!(fmesh.alive_links(node).collect::<Vec<_>>(), alive_links);
+
+            for dest in mesh.nodes() {
+                let here = dist[node.index()][dest.index()];
+                prop_assert_eq!(fmesh.distance(node, dest), here, "{}->{} on {}", node, dest, mesh);
+                // Productive: a surviving port whose neighbor is one hop
+                // closer to `dest`.
+                let productive: PortSet = directions(&mesh)
+                    .into_iter()
+                    .filter(|&dir| {
+                        naive_neighbor(&mesh, &faults, node, dir)
+                            .is_some_and(|nb| dist[nb.index()][dest.index()] + 1 == here)
+                    })
+                    .map(Port::from)
+                    .collect();
+                prop_assert_eq!(fmesh.productive_ports(node, dest), productive, "{}->{}", node, dest);
+            }
+        }
     }
 }
 
