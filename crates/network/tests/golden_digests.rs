@@ -22,8 +22,9 @@
 //!   digests only see the entries a simulation happens to visit.
 //!
 //! The matrix covers the four paper patterns on PROUD and LA-PROUD (one
-//! test per pattern), the 16x16 reference point, a saturated point (which
-//! pins the cut-off cycle), torus datelines, a faulty mesh under
+//! test per pattern), the 16x16 reference point with exponential and
+//! with Bernoulli arrivals, a saturated point (which pins the cut-off
+//! cycle), torus datelines, a faulty mesh under
 //! up*/down*-adaptive routing with economical tables, a bursty source,
 //! trace capture and replay, a two-cycle table lookup, and the interval
 //! and meta table schemes. Stepped networks run three traffic shapes: one
@@ -40,8 +41,8 @@ use lapses_core::{
     Flit, FlitKind, MessageId, MsgRef, RouteEntry, Router, RouterConfig, RouterTable, TableScheme,
 };
 use lapses_network::{
-    Algorithm, Network, Pattern, Scenario, ScenarioAxis, ScenarioBuilder, SimResult, SweepGrid,
-    SweepRunner, TableKind,
+    Algorithm, ArrivalKind, Network, Pattern, Scenario, ScenarioAxis, ScenarioBuilder, SimResult,
+    SweepGrid, SweepRunner, TableKind,
 };
 use lapses_routing::{DuatoAdaptive, RoutingAlgorithm, UpDown};
 use lapses_sim::rng::mix64;
@@ -294,6 +295,30 @@ fn reference_scenario_matches_golden_digest() {
         scenario_digest(&scenario, false),
     )];
     assert_golden("reference scenario", &actual, &[0x4b0cae78628c9f31]);
+}
+
+#[test]
+fn bernoulli_reference_scenario_matches_golden_digest() {
+    // The reference point above with Bernoulli (geometric-gap) arrivals.
+    let scenario = Scenario::builder()
+        .mesh_2d(16, 16)
+        .lookahead(true)
+        .pattern(Pattern::Uniform)
+        .arrivals(ArrivalKind::Bernoulli)
+        .load(0.2)
+        .message_counts(300, 2_500)
+        .seed(1999)
+        .build()
+        .expect("valid");
+    let actual = [(
+        "16x16 reference, bernoulli".to_string(),
+        scenario_digest(&scenario, false),
+    )];
+    assert_golden(
+        "bernoulli reference scenario",
+        &actual,
+        &[0x379587282f6bcf8d],
+    );
 }
 
 #[test]
