@@ -16,7 +16,7 @@
 //!
 //! Run with `cargo bench -p lapses-bench --bench burst_sweep`.
 
-use lapses_bench::{with_bench_counts_scenario, Table};
+use lapses_bench::{with_bench_counts, Table};
 use lapses_network::scenario::Scenario;
 use lapses_network::{Pattern, ScenarioAxis, SweepGrid, SweepReport, SweepRunner};
 
@@ -31,7 +31,7 @@ fn series_label(burst_len: u32) -> String {
 fn build_grid() -> SweepGrid {
     let mut grid = SweepGrid::new();
     for burst_len in BURST_LENS {
-        let scenario = with_bench_counts_scenario(
+        let scenario = with_bench_counts(
             Scenario::builder()
                 .mesh_2d(8, 8)
                 .lookahead(true)
@@ -50,7 +50,7 @@ fn build_grid() -> SweepGrid {
     }
     // One fixed-load series along the BurstLen axis itself: latency vs
     // burstiness at a stable operating point.
-    let base = with_bench_counts_scenario(
+    let base = with_bench_counts(
         Scenario::builder()
             .mesh_2d(8, 8)
             .lookahead(true)

@@ -10,7 +10,7 @@
 //! slightly at high load; on the three non-uniform patterns the adaptive
 //! routers win decisively at high load.
 
-use lapses_bench::{paper_loads, with_bench_counts_scenario, Table};
+use lapses_bench::{paper_loads, with_bench_counts, Table};
 use lapses_core::RouterConfig;
 use lapses_network::scenario::Scenario;
 use lapses_network::{Algorithm, Pattern, ScenarioAxis, SimResult, SweepGrid, SweepRunner};
@@ -44,10 +44,9 @@ fn main() {
     let mut grid = SweepGrid::new();
     for pattern in Pattern::PAPER_FOUR {
         for (name, adaptive, lookahead) in configs {
-            let scenario =
-                with_bench_counts_scenario(router_scenario(adaptive, lookahead).pattern(pattern))
-                    .build()
-                    .expect("Fig. 5 scenario is valid");
+            let scenario = with_bench_counts(router_scenario(adaptive, lookahead).pattern(pattern))
+                .build()
+                .expect("Fig. 5 scenario is valid");
             grid = grid
                 .scenario_series(
                     format!("{}/{}", pattern.name(), name),

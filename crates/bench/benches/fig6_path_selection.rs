@@ -7,7 +7,7 @@
 //! lower latency at medium-to-high load, with MAX-CREDIT typically between
 //! LFU and LRU.
 
-use lapses_bench::{paper_loads, series_points, with_bench_counts_scenario, Table};
+use lapses_bench::{paper_loads, series_points, with_bench_counts, Table};
 use lapses_core::psh::PathSelection;
 use lapses_network::scenario::Scenario;
 use lapses_network::{Pattern, ScenarioAxis, SimResult, SweepGrid, SweepRunner};
@@ -21,11 +21,10 @@ fn main() {
     let mut grid = SweepGrid::new();
     for pattern in Pattern::PAPER_FOUR {
         for &psh in PathSelection::paper_five().iter() {
-            let scenario = with_bench_counts_scenario(
-                Scenario::builder().pattern(pattern).path_selection(psh),
-            )
-            .build()
-            .expect("Fig. 6 scenario is valid");
+            let scenario =
+                with_bench_counts(Scenario::builder().pattern(pattern).path_selection(psh))
+                    .build()
+                    .expect("Fig. 6 scenario is valid");
             grid = grid
                 .scenario_series(
                     format!("{}/{}", pattern.name(), psh.name()),

@@ -16,7 +16,7 @@ use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
 use lapses_core::{Flit, MessageId, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
-use lapses_network::{Pattern, SimConfig};
+use lapses_network::{Pattern, Scenario};
 use lapses_routing::{DuatoAdaptive, UpDown};
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{Direction, FaultSet, FaultyMesh, Mesh, NodeId, Port};
@@ -128,9 +128,12 @@ fn bench_delivery(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter_batched(
             || {
-                let cfg = SimConfig::paper_adaptive(16, 16)
-                    .with_pattern(Pattern::Uniform)
-                    .with_load(0.4);
+                let cfg = Scenario::builder()
+                    .pattern(Pattern::Uniform)
+                    .load(0.4)
+                    .build()
+                    .expect("valid scenario")
+                    .compile();
                 let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
                 let mut net = lapses_network::Network::new(
                     cfg.mesh.clone(),
@@ -239,11 +242,14 @@ fn bench_network_cycle(c: &mut Criterion) {
                 || {
                     // A warmed-up network at moderate load: run the first
                     // 2000 cycles outside the measurement.
-                    let cfg = SimConfig::paper_adaptive(16, 16)
-                        .with_lookahead(lookahead)
-                        .with_pattern(Pattern::Uniform)
-                        .with_load(0.4)
-                        .with_message_counts(100, 2_000);
+                    let cfg = Scenario::builder()
+                        .lookahead(lookahead)
+                        .pattern(Pattern::Uniform)
+                        .load(0.4)
+                        .message_counts(100, 2_000)
+                        .build()
+                        .expect("valid scenario")
+                        .compile();
                     let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
                     let mut net = lapses_network::Network::new(
                         cfg.mesh.clone(),

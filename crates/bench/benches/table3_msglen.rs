@@ -14,7 +14,7 @@
 //! Expected shape: the shorter the message, the larger the relative gain
 //! from saving one pipeline stage per hop.
 
-use lapses_bench::{with_bench_counts_scenario, Table};
+use lapses_bench::{with_bench_counts, Table};
 use lapses_network::scenario::Scenario;
 use lapses_traffic::LengthDistribution;
 
@@ -24,7 +24,7 @@ fn main() {
     let mut table = Table::new(&["Mesg. Len", "Look Ahead", "No Look Ahead", "% Improv."]);
     for len in [5u32, 10, 20, 50] {
         let run = |lookahead: bool| {
-            with_bench_counts_scenario(
+            with_bench_counts(
                 Scenario::builder()
                     .lookahead(lookahead)
                     .load(0.2)

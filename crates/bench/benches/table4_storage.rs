@@ -13,7 +13,7 @@
 //! * on non-uniform traffic the meta variants saturate far earlier than
 //!   full-table/ES.
 
-use lapses_bench::{series_points, with_bench_counts_scenario, Table};
+use lapses_bench::{series_points, with_bench_counts, Table};
 use lapses_network::scenario::Scenario;
 use lapses_network::{Pattern, ScenarioAxis, SweepGrid, SweepRunner, TableKind};
 
@@ -42,11 +42,10 @@ fn main() {
     let mut grid = SweepGrid::new();
     for (pattern, loads) in cases.iter() {
         for (name, kind) in schemes.iter() {
-            let scenario = with_bench_counts_scenario(
-                Scenario::builder().pattern(*pattern).table(kind.clone()),
-            )
-            .build()
-            .expect("Table 4 scenario is valid");
+            let scenario =
+                with_bench_counts(Scenario::builder().pattern(*pattern).table(kind.clone()))
+                    .build()
+                    .expect("Table 4 scenario is valid");
             grid = grid
                 .scenario_series(
                     format!("{}/{}", pattern.name(), name),

@@ -8,7 +8,7 @@
 //! full protocol.
 
 use lapses_network::scenario::ScenarioBuilder;
-use lapses_network::{SimConfig, SimResult, SweepReport};
+use lapses_network::{SimResult, SweepReport};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -43,19 +43,16 @@ pub fn paper_loads(pattern: lapses_network::Pattern) -> &'static [f64] {
     }
 }
 
-/// Applies the default fast measurement profile plus environment
-/// overrides to a configuration.
-pub fn with_bench_counts(cfg: SimConfig) -> SimConfig {
-    cfg.with_message_counts(500, 6_000)
-        .with_env_message_counts()
-}
-
-/// The Scenario-API twin of [`with_bench_counts`]: the same fast profile
-/// and `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` overrides, applied to
-/// a scenario builder.
-pub fn with_bench_counts_scenario(builder: ScenarioBuilder) -> ScenarioBuilder {
-    let resolved = with_bench_counts(SimConfig::paper_adaptive(4, 4));
-    builder.message_counts(resolved.warmup_msgs, resolved.measure_msgs)
+/// Applies the default fast measurement profile (500 warm-up, 6k measured
+/// messages) to a scenario builder, overridden by the
+/// `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` environment variables so
+/// the benches can run the paper's full protocol without recompiling.
+pub fn with_bench_counts(builder: ScenarioBuilder) -> ScenarioBuilder {
+    let env = |name: &str| std::env::var(name).ok()?.parse::<u64>().ok();
+    builder.message_counts(
+        env("LAPSES_WARMUP_MSGS").unwrap_or(500),
+        env("LAPSES_MEASURE_MSGS").unwrap_or(6_000),
+    )
 }
 
 /// Extracts one labeled series from a [`SweepRunner`] report as the

@@ -1,15 +1,18 @@
-//! High-level experiment configuration and the measurement loop.
+//! The compiled form of a simulation point, and the measurement loop.
 //!
-//! [`SimConfig`] describes one simulation point the way the paper's Table 2
-//! does — topology, router model, routing algorithm, table scheme, traffic
+//! [`SimConfig`] holds one point the way the paper's Table 2 does —
+//! topology, router model, routing algorithm, table scheme, traffic
 //! pattern, normalized load, message length, and the warm-up/measurement
-//! protocol — and [`SimConfig::run`] executes it: inject warm-up messages,
-//! sample the measurement window, drain, and cut the run off if the
-//! offered load exceeds saturation (reported like the paper's "Sat.").
+//! protocol. It is plain data that callers do not build:
+//! [`Scenario`](crate::scenario::Scenario) is its only constructor, and
+//! [`Scenario::compile`](crate::scenario::Scenario::compile) hands out a
+//! validated copy. The crate-private `SimConfig::run` executes it: inject
+//! warm-up messages, sample the measurement window, drain, and cut the run
+//! off if the offered load exceeds saturation (reported like the paper's
+//! "Sat.").
 
 use crate::network::Network;
 use crate::stats::SimResult;
-use lapses_core::psh::PathSelection;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable};
 use lapses_core::{RouterConfig, TableScheme};
 use lapses_routing::{
@@ -71,7 +74,7 @@ impl Algorithm {
     /// Instantiates the routing relation over a (possibly fault-free)
     /// faulty-mesh view. The classic algorithms ignore the fault view —
     /// compositions mixing them with actual faults are rejected by
-    /// scenario validation and asserted in [`SimConfig::run`].
+    /// scenario validation and asserted by the run loop.
     pub fn build_on(self, fmesh: &Arc<FaultyMesh>) -> Box<dyn RoutingAlgorithm> {
         match self {
             Algorithm::UpDown => Box::new(UpDown::new(Arc::clone(fmesh))),
@@ -366,9 +369,15 @@ impl TableKind {
     }
 }
 
-/// One simulation point: everything the paper's Table 2 specifies, plus
-/// the design axes under study (pipeline, heuristic, table scheme).
+/// One compiled simulation point: everything the paper's Table 2
+/// specifies, plus the design axes under study (pipeline, heuristic, table
+/// scheme).
+///
+/// Built only by [`Scenario`](crate::scenario::Scenario), which validates
+/// it first; the fields stay public for instrumentation that replays the
+/// set-up, and modifying them bypasses that validation.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct SimConfig {
     /// Topology (the paper: 16×16 mesh).
     pub mesh: Mesh,
@@ -417,177 +426,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's adaptive PROUD configuration (`NO LA, ADAPT`) on a
-    /// `width × height` mesh: Duato's algorithm, full tables, 4 VCs with 1
-    /// escape, 20-flit messages, exponential arrivals.
-    ///
-    /// Message counts default to a fast profile (6k warm-up / 60k measured
-    /// scaled down for small meshes); use
-    /// [`with_message_counts`](SimConfig::with_message_counts) or
-    /// [`with_paper_message_counts`](SimConfig::with_paper_message_counts)
-    /// to change.
-    pub fn paper_adaptive(width: u16, height: u16) -> SimConfig {
-        let mesh = Mesh::mesh_2d(width, height);
-        SimConfig {
-            backlog_limit: 16 * mesh.node_count() as u64,
-            mesh,
-            faults: FaultsConfig::None,
-            router: RouterConfig::paper_adaptive(),
-            algorithm: Algorithm::Duato,
-            table: TableKind::Full,
-            pattern: Pattern::Uniform,
-            workload: WorkloadKind::default(),
-            load: 0.2,
-            lengths: LengthDistribution::PAPER_DEFAULT,
-            warmup_msgs: 2_000,
-            measure_msgs: 20_000,
-            seed: 20260611,
-            link_delay: 1,
-            max_cycles: 10_000_000,
-            stall_window: 20_000,
-            active_scheduling: true,
-            batched_delivery: true,
-        }
-    }
-
-    /// The adaptive LA-PROUD configuration (`LA, ADAPT`).
-    pub fn paper_adaptive_lookahead(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_adaptive(width, height);
-        cfg.router = cfg.router.with_lookahead(true);
-        cfg
-    }
-
-    /// The deterministic PROUD configuration (`NO LA, DET`): XY routing
-    /// with all four VCs usable.
-    pub fn paper_deterministic(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_adaptive(width, height);
-        cfg.algorithm = Algorithm::DimensionOrder;
-        cfg.router = RouterConfig::paper_deterministic();
-        cfg
-    }
-
-    /// The deterministic LA-PROUD configuration (`LA, DET`).
-    pub fn paper_deterministic_lookahead(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_deterministic(width, height);
-        cfg.router = cfg.router.with_lookahead(true);
-        cfg
-    }
-
-    /// Sets the traffic pattern.
-    pub fn with_pattern(mut self, pattern: Pattern) -> SimConfig {
-        self.pattern = pattern;
-        self
-    }
-
-    /// Sets the normalized load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is not strictly positive.
-    pub fn with_load(mut self, load: f64) -> SimConfig {
-        assert!(load > 0.0, "load must be positive");
-        self.load = load;
-        self
-    }
-
-    /// Sets warm-up and measured injection counts.
-    pub fn with_message_counts(mut self, warmup: u64, measure: u64) -> SimConfig {
-        self.warmup_msgs = warmup;
-        self.measure_msgs = measure;
-        self
-    }
-
-    /// The paper's measurement protocol: 10,000 warm-up messages and
-    /// 400,000 measured injections. Expensive — minutes per point.
-    pub fn with_paper_message_counts(self) -> SimConfig {
-        self.with_message_counts(10_000, 400_000)
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> SimConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the table scheme.
-    pub fn with_table(mut self, table: TableKind) -> SimConfig {
-        self.table = table;
-        self
-    }
-
-    /// Sets the path-selection heuristic.
-    pub fn with_path_selection(mut self, psh: PathSelection) -> SimConfig {
-        self.router.path_selection = psh;
-        self
-    }
-
-    /// Switches look-ahead routing on or off.
-    pub fn with_lookahead(mut self, lookahead: bool) -> SimConfig {
-        self.router = self.router.with_lookahead(lookahead);
-        self
-    }
-
-    /// Sets the table-lookup latency in cycles (models the slower RAM
-    /// access of large tables — Table 5's "lookup time" column).
-    pub fn with_table_lookup_cycles(mut self, cycles: u32) -> SimConfig {
-        self.router = self.router.with_table_lookup_cycles(cycles);
-        self
-    }
-
-    /// Sets the message length distribution.
-    pub fn with_message_length(mut self, lengths: LengthDistribution) -> SimConfig {
-        self.lengths = lengths;
-        self
-    }
-
-    /// Replaces the topology (rescaling the backlog limit).
-    pub fn with_mesh(mut self, mesh: Mesh) -> SimConfig {
-        self.backlog_limit = 16 * mesh.node_count() as u64;
-        self.mesh = mesh;
-        self
-    }
-
-    /// Kills the given links (endpoint node-id pairs, order-insensitive).
-    pub fn with_faults(mut self, links: &[(u32, u32)]) -> SimConfig {
-        self.faults = if links.is_empty() {
-            FaultsConfig::None
-        } else {
-            FaultsConfig::Links(links.to_vec())
-        };
-        self
-    }
-
-    /// Kills `count` random links drawn deterministically from `seed`.
-    pub fn with_random_faults(mut self, count: usize, seed: u64) -> SimConfig {
-        self.faults = FaultsConfig::Random { count, seed };
-        self
-    }
-
-    /// Sets the message source.
-    pub fn with_workload(mut self, workload: WorkloadKind) -> SimConfig {
-        self.workload = workload;
-        self
-    }
-
-    /// Selects the synthetic source with the given arrival process.
-    pub fn with_arrivals(self, arrivals: ArrivalKind) -> SimConfig {
-        self.with_workload(WorkloadKind::Synthetic { arrivals })
-    }
-
-    /// Selects the ON/OFF bursty source (mean `burst_len` messages per
-    /// burst, `peak_gap` cycles between messages within a burst).
-    pub fn with_bursty(self, burst_len: u32, peak_gap: f64) -> SimConfig {
-        self.with_workload(WorkloadKind::Bursty {
-            burst_len,
-            peak_gap,
-        })
-    }
-
-    /// Selects trace replay.
-    pub fn with_trace(self, trace: Arc<Trace>) -> SimConfig {
-        self.with_workload(WorkloadKind::Trace(trace))
-    }
-
     /// Instantiates the configured message source for one run, forking
     /// the per-node streams from the run seed exactly the way the
     /// original experiment loop did — so the synthetic path is
@@ -643,19 +481,6 @@ impl SimConfig {
         }
     }
 
-    /// Applies `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` environment
-    /// overrides, letting the benches run the full paper protocol on
-    /// demand without recompiling.
-    pub fn with_env_message_counts(mut self) -> SimConfig {
-        if let Some(w) = env_u64("LAPSES_WARMUP_MSGS") {
-            self.warmup_msgs = w;
-        }
-        if let Some(m) = env_u64("LAPSES_MEASURE_MSGS") {
-            self.measure_msgs = m;
-        }
-        self
-    }
-
     /// Resolves the routing relation and table program, compiling faults
     /// down to table contents. The fault-free classic path is untouched —
     /// same calls, same bytes — so runs configured before faults existed
@@ -699,22 +524,17 @@ impl SimConfig {
     /// the routing algorithm needs escape channels the router does not
     /// provide (Duato's protocol requires at least one escape VC per
     /// dateline subclass).
-    pub fn run(&self) -> SimResult {
+    pub(crate) fn run(&self) -> SimResult {
         self.run_impl(None)
     }
 
-    /// Runs the point while recording every injected message as a
-    /// `cycle src dst len` trace event — the capture sink that closes the
-    /// replay loop: a captured synthetic run, re-run as a
-    /// [`WorkloadKind::Trace`] replay with the same message counts, is
-    /// bit-identical in delivered flits and messages (each node is polled
-    /// at most once per cycle and drains every due message in that poll,
-    /// so the injection interleaving reproduces exactly).
+    /// Runs the point while recording every injected message (see
+    /// [`Scenario::run_capturing`](crate::scenario::Scenario::run_capturing)).
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`SimConfig::run`].
-    pub fn run_capturing(&self) -> (SimResult, Trace) {
+    /// Panics under the same conditions as `SimConfig::run`.
+    pub(crate) fn run_capturing(&self) -> (SimResult, Trace) {
         let mut events = Vec::new();
         let result = self.run_impl(Some(&mut events));
         let trace = Trace::from_events(self.mesh.node_count() as u32, events)
@@ -871,21 +691,32 @@ impl SimConfig {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, ScenarioBuilder};
 
-    fn fast(cfg: SimConfig) -> SimConfig {
-        cfg.with_message_counts(200, 1_000).with_seed(99)
+    fn fast(builder: ScenarioBuilder) -> ScenarioBuilder {
+        builder.message_counts(200, 1_000).seed(99)
+    }
+
+    fn mesh(width: u16, height: u16) -> ScenarioBuilder {
+        Scenario::builder().mesh_2d(width, height)
+    }
+
+    fn deterministic(width: u16, height: u16) -> ScenarioBuilder {
+        mesh(width, height)
+            .router(RouterConfig::paper_deterministic())
+            .algorithm(Algorithm::DimensionOrder)
+    }
+
+    fn run(builder: ScenarioBuilder) -> SimResult {
+        builder.build().expect("valid scenario").run()
     }
 
     #[test]
     fn low_load_uniform_completes_unsaturated() {
-        let r = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2).run();
+        let r = run(fast(mesh(8, 8)).load(0.2));
         assert!(!r.saturated);
         assert_eq!(r.messages, 1_000);
         assert!(r.avg_latency > 20.0, "latency {}", r.avg_latency);
@@ -895,10 +726,8 @@ mod tests {
 
     #[test]
     fn lookahead_beats_proud_at_low_load() {
-        let proud = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.1).run();
-        let la = fast(SimConfig::paper_adaptive_lookahead(8, 8))
-            .with_load(0.1)
-            .run();
+        let proud = run(fast(mesh(8, 8)).load(0.1));
+        let la = run(fast(mesh(8, 8).lookahead(true)).load(0.1));
         assert!(
             la.avg_latency < proud.avg_latency,
             "LA {} vs PROUD {}",
@@ -912,16 +741,14 @@ mod tests {
 
     #[test]
     fn overload_saturates() {
-        let r = fast(SimConfig::paper_adaptive(4, 4)).with_load(3.0).run();
+        let r = run(fast(mesh(4, 4)).load(3.0));
         assert!(r.saturated);
         assert_eq!(r.latency_cell(), "Sat.");
     }
 
     #[test]
     fn deterministic_configs_run() {
-        let det = fast(SimConfig::paper_deterministic(8, 8))
-            .with_load(0.2)
-            .run();
+        let det = run(fast(deterministic(8, 8)).load(0.2));
         assert!(!det.saturated);
         // XY routing never has a choice to make.
         assert_eq!(det.choice_fraction, 0.0);
@@ -931,14 +758,8 @@ mod tests {
     #[test]
     fn economical_equals_full_table_exactly() {
         // §5.2.2: same seed, same routing relation => identical statistics.
-        let full = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Full)
-            .with_load(0.3)
-            .run();
-        let econ = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Economical)
-            .with_load(0.3)
-            .run();
+        let full = run(fast(mesh(8, 8)).table(TableKind::Full).load(0.3));
+        let econ = run(fast(mesh(8, 8)).table(TableKind::Economical).load(0.3));
         assert_eq!(full.avg_latency, econ.avg_latency);
         assert_eq!(full.messages, econ.messages);
     }
@@ -946,17 +767,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "escape VC")]
     fn duato_without_escape_rejected() {
-        let mut cfg = SimConfig::paper_adaptive(4, 4);
+        let mut cfg = mesh(4, 4).build().unwrap().compile();
         cfg.router.escape_vcs = 0;
         let _ = cfg.run();
     }
 
     #[test]
     fn transpose_pattern_runs() {
-        let r = fast(SimConfig::paper_adaptive(8, 8))
-            .with_pattern(Pattern::Transpose)
-            .with_load(0.15)
-            .run();
+        let r = run(fast(mesh(8, 8)).pattern(Pattern::Transpose).load(0.15));
         assert!(!r.saturated);
         // Adaptive routing on transpose exercises multi-candidate choices.
         assert!(r.choice_fraction > 0.0);
@@ -964,23 +782,21 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_exactly() {
-        let a = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.25).run();
-        let b = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.25).run();
+        let a = run(fast(mesh(8, 8)).load(0.25));
+        let b = run(fast(mesh(8, 8)).load(0.25));
         assert_eq!(a.avg_latency, b.avg_latency);
         assert_eq!(a.cycles, b.cycles);
     }
 
-    fn faulty_updown(cfg: SimConfig) -> SimConfig {
-        let mut cfg = cfg.with_random_faults(3, 7);
-        cfg.algorithm = Algorithm::UpDownAdaptive;
-        cfg
+    fn faulty_updown(builder: ScenarioBuilder) -> ScenarioBuilder {
+        builder
+            .random_faults(3, 7)
+            .algorithm(Algorithm::UpDownAdaptive)
     }
 
     #[test]
     fn faulty_mesh_runs_to_drain_under_updown() {
-        let r = faulty_updown(fast(SimConfig::paper_adaptive(8, 8)))
-            .with_load(0.15)
-            .run();
+        let r = run(faulty_updown(fast(mesh(8, 8))).load(0.15));
         assert!(!r.saturated);
         assert_eq!(r.messages, 1_000);
         assert!(r.avg_latency > 0.0);
@@ -988,11 +804,10 @@ mod tests {
 
     #[test]
     fn standalone_updown_runs_without_escape_vcs() {
-        let mut cfg = fast(SimConfig::paper_deterministic(4, 4))
-            .with_faults(&[(0, 1)])
-            .with_load(0.1);
-        cfg.algorithm = Algorithm::UpDown;
-        let r = cfg.run();
+        let r = run(fast(deterministic(4, 4))
+            .faults(&[(0, 1)])
+            .load(0.1)
+            .algorithm(Algorithm::UpDown));
         assert!(!r.saturated);
         // Deterministic routing never has a choice to make.
         assert_eq!(r.choice_fraction, 0.0);
@@ -1002,9 +817,9 @@ mod tests {
     fn faulty_tables_agree_across_schemes() {
         // Full and economical-with-exceptions programs must simulate
         // bit-identically (the §5.2.2 claim, extended to faulty meshes).
-        let base = faulty_updown(fast(SimConfig::paper_adaptive(4, 4))).with_load(0.2);
-        let full = base.clone().with_table(TableKind::Full).run();
-        let econ = base.with_table(TableKind::Economical).run();
+        let base = faulty_updown(fast(mesh(4, 4))).load(0.2);
+        let full = run(base.clone().table(TableKind::Full));
+        let econ = run(base.table(TableKind::Economical));
         assert_eq!(full.avg_latency, econ.avg_latency);
         assert_eq!(full.cycles, econ.cycles);
         assert_eq!(full.flit_hops, econ.flit_hops);
@@ -1013,9 +828,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot tolerate dead links")]
     fn classic_algorithms_reject_faults() {
-        let _ = fast(SimConfig::paper_adaptive(4, 4))
-            .with_faults(&[(0, 1)])
-            .run();
+        let mut cfg = fast(mesh(4, 4)).build().unwrap().compile();
+        cfg.faults = FaultsConfig::Links(vec![(0, 1)]);
+        let _ = cfg.run();
     }
 
     #[test]
@@ -1026,20 +841,23 @@ mod tests {
 
     #[test]
     fn captured_trace_replays_bit_identically() {
-        let cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2);
-        let (original, trace) = cfg.run_capturing();
+        let scenario = fast(mesh(8, 8)).load(0.2).build().unwrap();
+        let (original, trace) = scenario.run_capturing();
+        let cfg = scenario.config();
         assert_eq!(trace.len() as u64, cfg.warmup_msgs + cfg.measure_msgs);
-        let replay = cfg.with_trace(Arc::new(trace)).run();
+        let replay = run(scenario.to_builder().trace(Arc::new(trace)));
         assert_eq!(original, replay);
     }
 
     #[test]
     fn capture_covers_bursty_and_faulty_runs() {
-        let cfg = faulty_updown(fast(SimConfig::paper_adaptive(4, 4)))
-            .with_bursty(4, 2.0)
-            .with_load(0.15);
-        let (original, trace) = cfg.run_capturing();
-        let replay = cfg.with_trace(Arc::new(trace)).run();
+        let scenario = faulty_updown(fast(mesh(4, 4)))
+            .bursty(4, 2.0)
+            .load(0.15)
+            .build()
+            .unwrap();
+        let (original, trace) = scenario.run_capturing();
+        let replay = run(scenario.to_builder().trace(Arc::new(trace)));
         assert_eq!(original, replay);
     }
 }

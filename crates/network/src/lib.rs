@@ -6,15 +6,16 @@
 //! drives the whole system cycle by cycle — the reconstruction of the
 //! paper's "PROUD network simulator".
 //!
-//! The experiment-facing entry point is [`scenario::Scenario`]: compose
-//! topology, router, table scheme, routing algorithm, **workload**
-//! (synthetic, bursty, or trace replay — see [`lapses_traffic::workload`])
-//! and run policy through the validating builder, then run it (or compile
-//! it to the internal [`experiment::SimConfig`], the plain-data form the
-//! sweep runner executes) to obtain a [`stats::SimResult`] with the
-//! latency statistics the paper reports. Scenarios also round-trip
-//! through a text form, [`spec::ScenarioSpec`], and sweep along
-//! [`sweep::ScenarioAxis`] dimensions.
+//! The one way to configure and run a simulation point is
+//! [`scenario::Scenario`]: compose topology, router, table scheme, routing
+//! algorithm, **workload** (synthetic, bursty, or trace replay — see
+//! [`lapses_traffic::workload`]) and run policy through the validating
+//! builder, then run it to obtain a [`stats::SimResult`] with the latency
+//! statistics the paper reports. A scenario compiles to
+//! [`experiment::SimConfig`], the plain-data form the cycle loop and the
+//! sweep runner execute; nothing else builds one. Scenarios also
+//! round-trip through a text form, [`spec::ScenarioSpec`], and sweep along
+//! [`sweep::ScenarioAxis`] dimensions into a [`sweep::SweepGrid`].
 //!
 //! # Example
 //!

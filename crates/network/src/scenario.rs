@@ -1,15 +1,16 @@
-//! The experiment-facing Scenario API.
+//! The experiment-facing Scenario API — the one way to configure and run
+//! a simulation point.
 //!
 //! A [`Scenario`] is a *validated* description of one simulation point:
 //! topology, router microarchitecture, routing algorithm, table scheme,
-//! workload, and run policy. [`ScenarioBuilder`] composes the layers with
-//! checked setters and [`ScenarioBuilder::build`] returns every
-//! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic;
-//! the result then *compiles* down to the [`SimConfig`]-shaped internals
-//! ([`Scenario::compile`]), so the fused SoA hot path runs exactly the
-//! bytes it always ran — the paper-reference synthetic scenario is
-//! bit-identical to the historical `SimConfig` path (enforced by the
-//! `scenario_equivalence` integration test).
+//! workload, and run policy. [`Scenario::builder`] starts from the
+//! paper's reference point, [`ScenarioBuilder`] composes the layers with
+//! infallible setters, and [`ScenarioBuilder::build`] returns every
+//! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic.
+//! [`Scenario::run`] and [`Scenario::run_capturing`] run the point; a
+//! [`SweepGrid`](crate::SweepGrid) runs many. The scenario *compiles* to a
+//! [`SimConfig`] ([`Scenario::compile`]), the plain-data form the cycle
+//! loop executes; the builder is the only constructor of that form.
 //!
 //! # Example
 //!
@@ -29,7 +30,9 @@
 //! assert!(!result.saturated);
 //! ```
 
-use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, WorkloadKind};
+use crate::experiment::{
+    Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
+};
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::router::MAX_VC_SLOTS;
@@ -229,8 +232,9 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// A validated simulation scenario; compile it to a [`SimConfig`] or run
-/// it directly.
+/// A validated simulation scenario; run it directly, or compile it to a
+/// [`SimConfig`] for a [`SweepGrid`](crate::SweepGrid) or for
+/// instrumentation.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     config: SimConfig,
@@ -240,9 +244,34 @@ impl Scenario {
     /// Starts a builder at the paper's reference point: the adaptive
     /// PROUD router on a 16×16 mesh, uniform synthetic traffic at 0.2
     /// normalized load.
+    ///
+    /// The defaults are the paper's Table 2: Duato's algorithm over full
+    /// tables, 4 VCs with 1 escape, exponential arrivals of 20-flit
+    /// messages, unit link delay, and a fast measurement profile (2k
+    /// warm-up, 20k measured messages).
     pub fn builder() -> ScenarioBuilder {
+        let mesh = Mesh::mesh_2d(16, 16);
         ScenarioBuilder {
-            config: SimConfig::paper_adaptive(16, 16),
+            config: SimConfig {
+                backlog_limit: backlog_limit(&mesh),
+                mesh,
+                faults: FaultsConfig::None,
+                router: RouterConfig::paper_adaptive(),
+                algorithm: Algorithm::Duato,
+                table: TableKind::Full,
+                pattern: Pattern::Uniform,
+                workload: WorkloadKind::default(),
+                load: 0.2,
+                lengths: LengthDistribution::PAPER_DEFAULT,
+                warmup_msgs: 2_000,
+                measure_msgs: 20_000,
+                seed: 20260611,
+                link_delay: 1,
+                max_cycles: 10_000_000,
+                stall_window: 20_000,
+                active_scheduling: true,
+                batched_delivery: true,
+            },
         }
     }
 
@@ -252,9 +281,8 @@ impl Scenario {
     }
 
     /// Compiles the scenario to the internal experiment configuration —
-    /// the form [`SimConfig::run`] and the sweep runner execute. The
-    /// compiled form is plain data; modifying it bypasses scenario
-    /// validation.
+    /// the form the cycle loop and the sweep runner execute. The compiled
+    /// form is plain data; modifying it bypasses scenario validation.
     pub fn compile(&self) -> SimConfig {
         self.config.clone()
     }
@@ -264,9 +292,13 @@ impl Scenario {
         self.config.run()
     }
 
-    /// Runs the scenario while capturing every injected message as a
-    /// replayable [`Trace`] (see
-    /// [`SimConfig::run_capturing`](crate::SimConfig::run_capturing)).
+    /// Runs the scenario while recording every injected message as a
+    /// `cycle src dst len` [`Trace`] event — the capture sink that closes
+    /// the replay loop: a captured synthetic run, re-run as a trace replay
+    /// with the same message counts, is bit-identical in delivered flits
+    /// and messages (each node is polled at most once per cycle and drains
+    /// every due message in that poll, so the injection interleaving
+    /// reproduces exactly).
     pub fn run_capturing(&self) -> (SimResult, Trace) {
         self.config.run_capturing()
     }
@@ -303,7 +335,8 @@ impl ScenarioBuilder {
     /// Sets an arbitrary topology (any dimensionality, mesh or torus).
     /// The saturation backlog limit rescales with the node count.
     pub fn topology(mut self, mesh: Mesh) -> Self {
-        self.config = self.config.with_mesh(mesh);
+        self.config.backlog_limit = backlog_limit(&mesh);
+        self.config.mesh = mesh;
         self
     }
 
@@ -312,7 +345,11 @@ impl ScenarioBuilder {
     /// network stays connected; faulty scenarios need an up*/down*
     /// algorithm.
     pub fn faults(mut self, links: &[(u32, u32)]) -> Self {
-        self.config = self.config.with_faults(links);
+        self.config.faults = if links.is_empty() {
+            FaultsConfig::None
+        } else {
+            FaultsConfig::Links(links.to_vec())
+        };
         self
     }
 
@@ -320,7 +357,7 @@ impl ScenarioBuilder {
     /// and guaranteed connected (see
     /// [`FaultsConfig::Random`](crate::experiment::FaultsConfig)).
     pub fn random_faults(mut self, count: usize, seed: u64) -> Self {
-        self.config = self.config.with_random_faults(count, seed);
+        self.config.faults = FaultsConfig::Random { count, seed };
         self
     }
 
@@ -577,6 +614,12 @@ impl ScenarioBuilder {
     }
 }
 
+/// The aggregate NIC backlog that declares saturation: 16 messages per
+/// node.
+fn backlog_limit(mesh: &Mesh) -> u64 {
+    16 * mesh.node_count() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,11 +639,10 @@ mod tests {
     #[test]
     fn default_builder_is_the_paper_reference() {
         let s = Scenario::builder().build().unwrap();
-        let reference = SimConfig::paper_adaptive(16, 16);
-        assert_eq!(s.config().mesh, reference.mesh);
-        assert_eq!(s.config().router, reference.router);
-        assert_eq!(s.config().seed, reference.seed);
-        assert_eq!(s.config().load, reference.load);
+        assert_eq!(s.config().mesh, Mesh::mesh_2d(16, 16));
+        assert_eq!(s.config().router, RouterConfig::paper_adaptive());
+        assert_eq!(s.config().seed, 20260611);
+        assert_eq!(s.config().load, 0.2);
     }
 
     #[test]

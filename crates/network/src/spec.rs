@@ -648,10 +648,10 @@ mod tests {
         assert_eq!(spec, again);
 
         let scenario = spec.to_scenario(Path::new(".")).unwrap();
-        let reference = crate::SimConfig::paper_adaptive(16, 16);
-        assert_eq!(scenario.config().mesh, reference.mesh);
-        assert_eq!(scenario.config().router, reference.router);
-        assert_eq!(scenario.config().seed, reference.seed);
+        let reference = Scenario::builder().build().unwrap();
+        assert_eq!(scenario.config().mesh, reference.config().mesh);
+        assert_eq!(scenario.config().router, reference.config().router);
+        assert_eq!(scenario.config().seed, reference.config().seed);
     }
 
     #[test]

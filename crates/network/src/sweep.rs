@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (Figs. 5/6, Tables 3/4) is a grid of independent
 //! simulation points: router configurations × traffic patterns × offered
-//! loads. Each point is a self-contained [`SimConfig::run`], so the grid is
-//! embarrassingly parallel; this module runs it on a pool of OS threads
+//! loads. Each point is a self-contained run of a compiled [`Scenario`],
+//! so the grid is embarrassingly parallel; this module runs it on a pool of OS threads
 //! while keeping the output **bit-identical to a single-threaded run**:
 //!
 //! * every point's seed is derived from the runner's master seed and the
@@ -32,12 +32,20 @@
 //! # Example
 //!
 //! ```
-//! use lapses_network::{Pattern, SimConfig, SweepGrid, SweepRunner};
+//! use lapses_network::{Pattern, Scenario, ScenarioAxis, SweepGrid, SweepRunner};
 //!
-//! let base = SimConfig::paper_adaptive_lookahead(4, 4).with_message_counts(50, 300);
+//! let base = Scenario::builder()
+//!     .mesh_2d(4, 4)
+//!     .lookahead(true)
+//!     .message_counts(50, 300);
+//! let uniform = base.clone().pattern(Pattern::Uniform).build().unwrap();
+//! let transpose = base.pattern(Pattern::Transpose).build().unwrap();
+//! let loads = ScenarioAxis::Load(vec![0.1, 0.2]);
 //! let grid = SweepGrid::new()
-//!     .series("uniform", base.clone().with_pattern(Pattern::Uniform), &[0.1, 0.2])
-//!     .series("transpose", base.with_pattern(Pattern::Transpose), &[0.1, 0.2]);
+//!     .scenario_series("uniform", &uniform, &loads)
+//!     .unwrap()
+//!     .scenario_series("transpose", &transpose, &loads)
+//!     .unwrap();
 //! let report = SweepRunner::new().with_threads(2).with_master_seed(7).run(&grid);
 //! assert_eq!(report.series().len(), 2);
 //! ```
@@ -59,7 +67,7 @@ pub struct SweepPoint {
     /// load sweeps, or the swept [`ScenarioAxis`] value (burst length,
     /// node count, ...) for scenario grids.
     pub load: f64,
-    /// The full configuration to run.
+    /// The compiled scenario to run.
     pub config: SimConfig,
 }
 
@@ -197,9 +205,12 @@ impl ScenarioAxis {
 
 /// A grid of simulation points, grouped into labeled series.
 ///
-/// Within a series, points must be added in ascending-load order — that
-/// order defines the saturation cut-off (everything after the first
-/// saturated point is dropped, like the paper's figures).
+/// Points come from validated [`Scenario`]s, added along a
+/// [`ScenarioAxis`] ([`SweepGrid::scenario_series`]) or one at a time
+/// ([`SweepGrid::scenario_point`]). Within a series, point order defines
+/// the saturation cut-off (everything after the first saturated point is
+/// dropped, like the paper's figures), which is why value axes must
+/// ascend.
 #[derive(Debug, Clone, Default)]
 pub struct SweepGrid {
     points: Vec<SweepPoint>,
@@ -209,40 +220,6 @@ impl SweepGrid {
     /// Creates an empty grid.
     pub fn new() -> SweepGrid {
         SweepGrid::default()
-    }
-
-    /// Adds one series: `base` swept across `loads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is not strictly ascending — the saturation
-    /// cut-off truncates a series by position, so out-of-order loads
-    /// would silently drop stable points below a saturated one. Build
-    /// intentionally unordered series with [`SweepGrid::point`].
-    pub fn series(mut self, label: impl Into<String>, base: SimConfig, loads: &[f64]) -> SweepGrid {
-        assert!(
-            loads.windows(2).all(|w| w[0] < w[1]),
-            "series loads must be strictly ascending, got {loads:?}"
-        );
-        let label = label.into();
-        for &load in loads {
-            self.points.push(SweepPoint {
-                series: label.clone(),
-                load,
-                config: base.clone().with_load(load),
-            });
-        }
-        self
-    }
-
-    /// Adds a single fully-specified point.
-    pub fn point(mut self, label: impl Into<String>, load: f64, config: SimConfig) -> SweepGrid {
-        self.points.push(SweepPoint {
-            series: label.into(),
-            load,
-            config,
-        });
-        self
     }
 
     /// Adds one series by sweeping `base` along a [`ScenarioAxis`]. Every
@@ -356,7 +333,7 @@ impl SweepRunner {
 
     /// Overrides every point's seed with one derived from `seed` and the
     /// point's grid position. Without this, each point keeps the seed its
-    /// `SimConfig` carries.
+    /// [`Scenario`] carries.
     pub fn with_master_seed(mut self, seed: u64) -> SweepRunner {
         self.master_seed = Some(seed);
         self
@@ -373,8 +350,9 @@ impl SweepRunner {
     ///
     /// # Panics
     ///
-    /// Panics if any point's configuration is rejected by
-    /// [`SimConfig::run`] (e.g. adaptive routing without escape VCs).
+    /// Panics if a point's compiled configuration is inconsistent (e.g.
+    /// adaptive routing without escape VCs). Every point comes from a
+    /// validated [`Scenario`], so such a panic is a validation gap.
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
         let jobs: Vec<Job> = self.plan(grid);
         let n = jobs.len();
@@ -526,32 +504,53 @@ fn derive_seed(master: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::experiment::Pattern;
+    use crate::scenario::ScenarioBuilder;
 
-    fn tiny(pattern: Pattern) -> SimConfig {
-        SimConfig::paper_adaptive(4, 4)
-            .with_pattern(pattern)
-            .with_message_counts(30, 200)
+    fn tiny(pattern: Pattern) -> ScenarioBuilder {
+        Scenario::builder()
+            .mesh_2d(4, 4)
+            .pattern(pattern)
+            .message_counts(30, 200)
+    }
+
+    fn load_series(label: &str, base: ScenarioBuilder, loads: &[f64]) -> SweepGrid {
+        SweepGrid::new()
+            .scenario_series(
+                label,
+                &base.build().unwrap(),
+                &ScenarioAxis::Load(loads.to_vec()),
+            )
+            .unwrap()
     }
 
     #[test]
     fn grid_builder_counts_points() {
-        let grid = SweepGrid::new()
-            .series("a", tiny(Pattern::Uniform), &[0.1, 0.2, 0.3])
-            .point("b", 0.1, tiny(Pattern::Transpose));
+        let grid = load_series("a", tiny(Pattern::Uniform), &[0.1, 0.2, 0.3]).scenario_point(
+            "b",
+            0.1,
+            &tiny(Pattern::Transpose).build().unwrap(),
+        );
         assert_eq!(grid.len(), 4);
         assert!(!grid.is_empty());
         assert_eq!(grid.points()[3].series, "b");
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
     fn unsorted_series_loads_rejected() {
-        let _ = SweepGrid::new().series("a", tiny(Pattern::Uniform), &[0.3, 0.1]);
+        let err = SweepGrid::new()
+            .scenario_series(
+                "a",
+                &tiny(Pattern::Uniform).build().unwrap(),
+                &ScenarioAxis::Load(vec![0.3, 0.1]),
+            )
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::AxisNotAscending { axis: "load" });
+        assert!(err.to_string().contains("strictly ascending"), "{err}");
     }
 
     #[test]
     fn master_seed_overrides_point_seeds() {
-        let grid = SweepGrid::new().series("a", tiny(Pattern::Uniform), &[0.1, 0.2]);
+        let grid = load_series("a", tiny(Pattern::Uniform), &[0.1, 0.2]);
         let runner = SweepRunner::new().with_master_seed(99);
         let jobs = runner.plan(&grid);
         assert_ne!(jobs[0].config.seed, jobs[1].config.seed);
@@ -560,19 +559,19 @@ mod tests {
 
     #[test]
     fn without_master_seed_point_seeds_survive() {
-        let grid = SweepGrid::new().series("a", tiny(Pattern::Uniform).with_seed(4242), &[0.1]);
+        let grid = load_series("a", tiny(Pattern::Uniform).seed(4242), &[0.1]);
         let jobs = SweepRunner::new().plan(&grid);
         assert_eq!(jobs[0].config.seed, 4242);
     }
 
     #[test]
     fn steal_order_is_longest_expected_first_with_stable_ties() {
-        let base = tiny(Pattern::Uniform);
+        let at = |load: f64| tiny(Pattern::Uniform).load(load).build().unwrap();
         let grid = SweepGrid::new()
-            .point("a", 0.1, base.clone().with_load(0.1))
-            .point("a", 0.4, base.clone().with_load(0.4))
-            .point("a", 0.2, base.clone().with_load(0.2))
-            .point("b", 0.2, base.clone().with_load(0.2));
+            .scenario_point("a", 0.1, &at(0.1))
+            .scenario_point("a", 0.4, &at(0.4))
+            .scenario_point("a", 0.2, &at(0.2))
+            .scenario_point("b", 0.2, &at(0.2));
         let runner = SweepRunner::new();
         let jobs = runner.plan(&grid);
         // Highest load first; the two 0.2 points tie and keep grid order.
@@ -639,12 +638,12 @@ mod tests {
     fn keep_all_reports_every_point() {
         // Load 3.0 on a 4x4 saturates (enough injections to trip the
         // backlog limit); KeepAll must still report 0.1 *after* it.
-        let overload = tiny(Pattern::Uniform).with_message_counts(200, 1_000);
-        // Deliberately descending loads, so built with point() — series()
-        // rejects unordered load axes.
+        let overload = tiny(Pattern::Uniform).message_counts(200, 1_000);
+        // Deliberately descending loads, so built point by point — a load
+        // axis must ascend.
         let grid = SweepGrid::new()
-            .point("a", 3.0, overload.clone().with_load(3.0))
-            .point("a", 0.1, overload.with_load(0.1));
+            .scenario_point("a", 3.0, &overload.clone().load(3.0).build().unwrap())
+            .scenario_point("a", 0.1, &overload.load(0.1).build().unwrap());
         let report = SweepRunner::new()
             .with_threads(2)
             .with_master_seed(5)

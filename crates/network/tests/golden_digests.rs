@@ -280,7 +280,7 @@ fn paper_grid_perfect_shuffle_matches_golden_digests() {
 #[test]
 fn reference_scenario_matches_golden_digest() {
     // The paper's 16x16 mesh and LA-ADAPT router under uniform traffic at
-    // 0.2 load: the reference point of `scenario_equivalence.rs`.
+    // 0.2 load.
     let scenario = Scenario::builder()
         .mesh_2d(16, 16)
         .lookahead(true)

@@ -25,9 +25,10 @@
 //!
 //! # Quickstart
 //!
-//! Experiments are described as [`Scenario`](network::scenario::Scenario)s:
-//! a validated composition of topology, router, routing algorithm, table
-//! scheme, **workload**, and run policy that *compiles* to the internal
+//! Experiments are described as [`Scenario`](network::scenario::Scenario)s,
+//! the one way to configure and run a simulation point: a validated
+//! composition of topology, router, routing algorithm, table scheme,
+//! **workload**, and run policy that *compiles* to the plain-data
 //! [`SimConfig`](network::SimConfig) the cycle loop executes. One point —
 //! the paper's LA-ADAPT router on a small mesh, uniform traffic at 20% of
 //! bisection saturation:
@@ -53,7 +54,8 @@
 //! (`.bursty(burst_len, peak_gap)`), or replay of a recorded
 //! `cycle src dst len` text trace (`.trace(...)`,
 //! [`traffic::Trace`]). Any run can *record* such a trace while it
-//! executes ([`network::SimConfig::run_capturing`]) — a captured
+//! executes ([`Scenario::run_capturing`](network::Scenario::run_capturing))
+//! — a captured
 //! synthetic run replayed as a trace is bit-identical. Validation
 //! catches inconsistent compositions — escape-VC shortages, turn models
 //! on tori, impossible burst shapes, invalid fault sets — as typed
@@ -177,8 +179,8 @@ pub mod prelude {
     pub use lapses_core::{PipelineModel, RouterConfig};
     pub use lapses_network::{
         Algorithm, ArrivalKind, CutoffPolicy, FaultsConfig, Pattern, Scenario, ScenarioAxis,
-        ScenarioBuilder, ScenarioError, ScenarioSpec, SimConfig, SimResult, SpecError, SweepGrid,
-        SweepReport, SweepRunner, TableKind, WorkloadKind,
+        ScenarioBuilder, ScenarioError, ScenarioSpec, SimResult, SpecError, SweepGrid, SweepReport,
+        SweepRunner, TableKind, WorkloadKind,
     };
     pub use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm, UpDown};
     pub use lapses_sim::{Cycle, SimRng};

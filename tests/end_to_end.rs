@@ -4,17 +4,39 @@
 
 use lapses::prelude::*;
 
-fn fast(cfg: SimConfig) -> SimConfig {
-    cfg.with_message_counts(300, 2_500).with_seed(2026)
+fn fast(builder: ScenarioBuilder) -> ScenarioBuilder {
+    builder.message_counts(300, 2_500).seed(2026)
+}
+
+fn adaptive(width: u16, height: u16) -> ScenarioBuilder {
+    Scenario::builder().mesh_2d(width, height)
+}
+
+fn adaptive_lookahead(width: u16, height: u16) -> ScenarioBuilder {
+    adaptive(width, height).lookahead(true)
+}
+
+fn deterministic(width: u16, height: u16) -> ScenarioBuilder {
+    adaptive(width, height)
+        .router(RouterConfig::paper_deterministic())
+        .algorithm(Algorithm::DimensionOrder)
+}
+
+fn deterministic_lookahead(width: u16, height: u16) -> ScenarioBuilder {
+    deterministic(width, height).lookahead(true)
+}
+
+fn run(builder: ScenarioBuilder) -> SimResult {
+    builder.build().expect("valid scenario").run()
 }
 
 #[test]
 fn all_four_router_configs_deliver_on_all_paper_patterns() {
-    let makers: [fn(u16, u16) -> SimConfig; 4] = [
-        SimConfig::paper_deterministic,
-        SimConfig::paper_deterministic_lookahead,
-        SimConfig::paper_adaptive,
-        SimConfig::paper_adaptive_lookahead,
+    let makers: [fn(u16, u16) -> ScenarioBuilder; 4] = [
+        deterministic,
+        deterministic_lookahead,
+        adaptive,
+        adaptive_lookahead,
     ];
     for mk in makers {
         for pattern in [
@@ -23,7 +45,7 @@ fn all_four_router_configs_deliver_on_all_paper_patterns() {
             Pattern::BitReversal,
             Pattern::PerfectShuffle,
         ] {
-            let r = fast(mk(8, 8)).with_pattern(pattern).with_load(0.15).run();
+            let r = run(fast(mk(8, 8)).pattern(pattern).load(0.15));
             assert!(
                 !r.saturated,
                 "{pattern:?} saturated at low load — simulator bug"
@@ -38,10 +60,8 @@ fn all_four_router_configs_deliver_on_all_paper_patterns() {
 fn lookahead_gain_is_one_cycle_per_hop_at_zero_load() {
     // At vanishingly small load the LA gain must equal the average hop
     // count plus one (one saved stage per traversed router).
-    let proud = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.02).run();
-    let la = fast(SimConfig::paper_adaptive_lookahead(8, 8))
-        .with_load(0.02)
-        .run();
+    let proud = run(fast(adaptive(8, 8)).load(0.02));
+    let la = run(fast(adaptive_lookahead(8, 8)).load(0.02));
     // Uniform 8x8: mean distance = 2 * (64-1)/(3*8) = 5.25 hops,
     // 6.25 routers on average.
     let gain = proud.avg_latency - la.avg_latency;
@@ -53,16 +73,14 @@ fn lookahead_gain_is_one_cycle_per_hop_at_zero_load() {
 
 #[test]
 fn adaptive_beats_deterministic_on_transpose_at_load() {
-    let det = fast(SimConfig::paper_deterministic(16, 16))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.3)
-        .with_message_counts(500, 5_000)
-        .run();
-    let adpt = fast(SimConfig::paper_adaptive(16, 16))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.3)
-        .with_message_counts(500, 5_000)
-        .run();
+    let det = run(fast(deterministic(16, 16))
+        .pattern(Pattern::Transpose)
+        .load(0.3)
+        .message_counts(500, 5_000));
+    let adpt = run(fast(adaptive(16, 16))
+        .pattern(Pattern::Transpose)
+        .load(0.3)
+        .message_counts(500, 5_000));
     assert!(
         adpt.avg_latency * 1.4 < det.avg_latency,
         "adaptive {} should be well under deterministic {}",
@@ -76,16 +94,14 @@ fn economical_storage_is_bit_identical_to_full_table() {
     // The §5.2.2 claim, end to end: same relation + same seed => exactly
     // the same simulation.
     for pattern in [Pattern::Uniform, Pattern::Transpose] {
-        let full = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Full)
-            .with_pattern(pattern)
-            .with_load(0.3)
-            .run();
-        let econ = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Economical)
-            .with_pattern(pattern)
-            .with_load(0.3)
-            .run();
+        let full = run(fast(adaptive(8, 8))
+            .table(TableKind::Full)
+            .pattern(pattern)
+            .load(0.3));
+        let econ = run(fast(adaptive(8, 8))
+            .table(TableKind::Economical)
+            .pattern(pattern)
+            .load(0.3));
         assert_eq!(full.avg_latency, econ.avg_latency, "{pattern:?}");
         assert_eq!(full.cycles, econ.cycles, "{pattern:?}");
         assert_eq!(full.max_latency, econ.max_latency, "{pattern:?}");
@@ -95,16 +111,14 @@ fn economical_storage_is_bit_identical_to_full_table() {
 #[test]
 fn meta_blocks_loses_to_meta_rows_on_transpose() {
     // The paper's counter-intuitive Table 4 result.
-    let rows = fast(SimConfig::paper_adaptive(16, 16))
-        .with_table(TableKind::MetaRows)
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.2)
-        .run();
-    let blocks = fast(SimConfig::paper_adaptive(16, 16))
-        .with_table(TableKind::MetaBlocks(vec![4, 4]))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.2)
-        .run();
+    let rows = run(fast(adaptive(16, 16))
+        .table(TableKind::MetaRows)
+        .pattern(Pattern::Transpose)
+        .load(0.2));
+    let blocks = run(fast(adaptive(16, 16))
+        .table(TableKind::MetaBlocks(vec![4, 4]))
+        .pattern(Pattern::Transpose)
+        .load(0.2));
     let blocks_latency = if blocks.saturated {
         f64::INFINITY
     } else {
@@ -120,20 +134,19 @@ fn meta_blocks_loses_to_meta_rows_on_transpose() {
 
 #[test]
 fn interval_routing_behaves_like_a_deterministic_router() {
-    let r = fast(SimConfig::paper_deterministic(8, 8))
-        .with_table(TableKind::Interval)
-        .with_load(0.2)
-        .run();
+    let r = run(fast(deterministic(8, 8))
+        .table(TableKind::Interval)
+        .load(0.2));
     assert!(!r.saturated);
     assert_eq!(r.choice_fraction, 0.0, "interval routing has no choices");
 }
 
 #[test]
 fn turn_model_routing_runs_without_escape_vcs() {
-    let mut cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2);
-    cfg.algorithm = Algorithm::NorthLast;
-    cfg.router = RouterConfig::paper_deterministic(); // 0 escape VCs
-    let r = cfg.run();
+    let r = run(fast(adaptive(8, 8))
+        .load(0.2)
+        .algorithm(Algorithm::NorthLast)
+        .router(RouterConfig::paper_deterministic())); // 0 escape VCs
     assert!(!r.saturated);
     assert_eq!(r.escape_fraction, 0.0);
 }
@@ -141,10 +154,9 @@ fn turn_model_routing_runs_without_escape_vcs() {
 #[test]
 fn results_reproduce_exactly_across_runs() {
     let mk = || {
-        fast(SimConfig::paper_adaptive_lookahead(8, 8))
-            .with_pattern(Pattern::BitReversal)
-            .with_load(0.25)
-            .run()
+        run(fast(adaptive_lookahead(8, 8))
+            .pattern(Pattern::BitReversal)
+            .load(0.25))
     };
     let a = mk();
     let b = mk();
@@ -156,12 +168,11 @@ fn results_reproduce_exactly_across_runs() {
 #[test]
 fn different_seeds_give_statistically_close_latencies() {
     let at = |seed: u64| {
-        SimConfig::paper_adaptive(8, 8)
-            .with_load(0.2)
-            .with_message_counts(300, 3_000)
-            .with_seed(seed)
-            .run()
-            .avg_latency
+        run(adaptive(8, 8)
+            .load(0.2)
+            .message_counts(300, 3_000)
+            .seed(seed))
+        .avg_latency
     };
     let a = at(1);
     let b = at(2);
@@ -173,13 +184,12 @@ fn different_seeds_give_statistically_close_latencies() {
 
 #[test]
 fn hotspot_traffic_congests_the_hotspot_links() {
-    let r = fast(SimConfig::paper_adaptive(8, 8))
-        .with_pattern(Pattern::Hotspot {
+    let r = run(fast(adaptive(8, 8))
+        .pattern(Pattern::Hotspot {
             node: 27,
             probability: 0.2,
         })
-        .with_load(0.15)
-        .run();
+        .load(0.15));
     assert!(!r.saturated);
     // The hotspot drives the busiest link well above the average.
     assert!(r.max_link_utilization > 0.1);
@@ -187,10 +197,7 @@ fn hotspot_traffic_congests_the_hotspot_links() {
 
 #[test]
 fn escape_channels_engage_under_pressure() {
-    let r = fast(SimConfig::paper_adaptive(8, 8))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.4)
-        .run();
+    let r = run(fast(adaptive(8, 8)).pattern(Pattern::Transpose).load(0.4));
     // At high adaptive load some headers must fall back to escape VCs.
     assert!(r.escape_fraction > 0.0, "escape VCs never engaged");
 }
