@@ -57,10 +57,9 @@ impl IntervalTable {
     /// one contiguous interval, which would indicate an incompatible
     /// labeling.
     pub fn program(mesh: &Mesh) -> IntervalTable {
-        assert!(
-            !mesh.is_torus(),
-            "interval routing here supports meshes only"
-        );
+        if let Err(reason) = Self::check(mesh) {
+            panic!("{reason}");
+        }
         let table = Self::from_relation(mesh, |node, dest| yx_port(mesh, node, dest));
         // The classic labeling claim: one interval per port, so the run
         // count never exceeds the port count.
@@ -77,6 +76,15 @@ impl IntervalTable {
         IntervalTable {
             entries_per_router: mesh.ports_per_router(),
             ..table
+        }
+    }
+
+    /// Checks that [`IntervalTable::program`] supports `mesh`.
+    pub fn check(mesh: &Mesh) -> Result<(), &'static str> {
+        if mesh.is_torus() {
+            Err("interval routing here supports meshes only")
+        } else {
+            Ok(())
         }
     }
 

@@ -108,9 +108,7 @@ impl MetaTable {
 
     /// The Fig. 8(a) "minimal flexibility" labeling: one cluster per row.
     pub fn rows(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> MetaTable {
-        let mut shape = vec![1u16; mesh.dims()];
-        shape[0] = mesh.extent(0);
-        Self::program(mesh, &shape, algo)
+        Self::program(mesh, &ClusterMap::row_shape(mesh), algo)
     }
 
     /// The Fig. 8(b) "maximal flexibility" labeling over square blocks.

@@ -3,13 +3,11 @@
 //! [`SimConfig`] holds one point the way the paper's Table 2 does —
 //! topology, router model, routing algorithm, table scheme, traffic
 //! pattern, normalized load, message length, and the warm-up/measurement
-//! protocol. It is plain data that callers do not build:
-//! [`Scenario`](crate::scenario::Scenario) is its only constructor, and
-//! [`Scenario::compile`](crate::scenario::Scenario::compile) hands out a
-//! validated copy. The crate-private `SimConfig::run` executes it: inject
-//! warm-up messages, sample the measurement window, drain, and cut the run
-//! off if the offered load exceeds saturation (reported like the paper's
-//! "Sat.").
+//! protocol — as plain data whose only constructor is
+//! [`Scenario`](crate::scenario::Scenario). The crate-private run loop
+//! injects warm-up messages, samples the measurement window, drains, and
+//! cuts the run off if the offered load exceeds saturation (reported like
+//! the paper's "Sat.").
 
 use crate::network::Network;
 use crate::stats::SimResult;
@@ -19,9 +17,10 @@ use lapses_routing::{
     DimensionOrder, DuatoAdaptive, RoutingAlgorithm, TurnModel, TurnModelKind, UpDown,
 };
 use lapses_sim::{Cycle, MeasurementPhase, PhaseController, ProgressWatchdog};
+use lapses_topology::labeling::ClusterMap;
 use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId};
 use lapses_traffic::arrivals::{ArrivalProcess, Bernoulli, Exponential, Periodic};
-use lapses_traffic::patterns;
+use lapses_traffic::patterns::{self, PatternError};
 use lapses_traffic::workload::{OnOffWorkload, SyntheticWorkload, Workload};
 use lapses_traffic::{
     Generator, LengthDistribution, Trace, TraceEvent, TraceWorkload, TrafficPattern,
@@ -267,8 +266,18 @@ impl Pattern {
     ];
 
     /// Instantiates the pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hotspot probability outside `[0, 1]` (see
+    /// [`Pattern::try_build`]).
     pub fn build(self) -> Box<dyn TrafficPattern> {
-        match self {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Instantiates the pattern, or says why its parameters are invalid.
+    pub fn try_build(self) -> Result<Box<dyn TrafficPattern>, PatternError> {
+        Ok(match self {
             Pattern::Uniform => Box::new(patterns::Uniform::new()),
             Pattern::Transpose => Box::new(patterns::Transpose::new()),
             Pattern::BitReversal => Box::new(patterns::BitReversal::new()),
@@ -276,10 +285,10 @@ impl Pattern {
             Pattern::BitComplement => Box::new(patterns::BitComplement::new()),
             Pattern::Tornado => Box::new(patterns::Tornado::new()),
             Pattern::Hotspot { node, probability } => {
-                Box::new(patterns::Hotspot::new(NodeId(node), probability))
+                Box::new(patterns::Hotspot::try_new(NodeId(node), probability)?)
             }
             Pattern::NearestNeighbor => Box::new(patterns::NearestNeighbor::new()),
-        }
+        })
     }
 
     /// A short name for reports.
@@ -323,6 +332,19 @@ impl TableKind {
             TableKind::MetaRows => Arc::new(MetaTable::rows(mesh, algo)),
             TableKind::MetaBlocks(shape) => Arc::new(MetaTable::blocks(mesh, shape, algo)),
             TableKind::Interval => Arc::new(IntervalTable::program(mesh)),
+        }
+    }
+
+    /// Checks that the scheme can be programmed for the fault-free `mesh`
+    /// — the conditions [`TableKind::build`] asserts.
+    pub fn check(&self, mesh: &Mesh) -> Result<(), String> {
+        match self {
+            TableKind::MetaRows => {
+                ClusterMap::try_blocks(mesh, &ClusterMap::row_shape(mesh)).map(drop)
+            }
+            TableKind::MetaBlocks(shape) => ClusterMap::try_blocks(mesh, shape).map(drop),
+            TableKind::Interval => IntervalTable::check(mesh).map_err(String::from),
+            TableKind::Full | TableKind::Economical => Ok(()),
         }
     }
 
@@ -371,11 +393,8 @@ impl TableKind {
 
 /// One compiled simulation point: everything the paper's Table 2
 /// specifies, plus the design axes under study (pipeline, heuristic, table
-/// scheme).
-///
-/// Built only by [`Scenario`](crate::scenario::Scenario), which validates
-/// it first; the fields stay public for instrumentation that replays the
-/// set-up, and modifying them bypasses that validation.
+/// scheme). Built only by a validating [`Scenario`](crate::scenario::Scenario);
+/// the public fields serve instrumentation, and edits bypass validation.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SimConfig {
@@ -440,34 +459,27 @@ impl SimConfig {
     /// these up front and returns errors instead.
     pub fn build_workload(&self) -> Box<dyn Workload> {
         let traffic_seed = self.seed ^ 0x5EED_CAFE;
+        let mean_gap = || Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean());
         match &self.workload {
-            WorkloadKind::Synthetic { arrivals } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean());
-                Box::new(SyntheticWorkload::new(
-                    self.mesh.clone(),
-                    self.pattern.build(),
-                    arrivals.build(mean_gap),
-                    self.lengths,
-                    traffic_seed,
-                ))
-            }
+            WorkloadKind::Synthetic { arrivals } => Box::new(SyntheticWorkload::new(
+                self.mesh.clone(),
+                self.pattern.build(),
+                arrivals.build(mean_gap()),
+                self.lengths,
+                traffic_seed,
+            )),
             WorkloadKind::Bursty {
                 burst_len,
                 peak_gap,
-            } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean());
-                Box::new(OnOffWorkload::new(
-                    self.mesh.clone(),
-                    self.pattern.build(),
-                    self.lengths,
-                    *burst_len,
-                    *peak_gap,
-                    mean_gap,
-                    traffic_seed,
-                ))
-            }
+            } => Box::new(OnOffWorkload::new(
+                self.mesh.clone(),
+                self.pattern.build(),
+                self.lengths,
+                *burst_len,
+                *peak_gap,
+                mean_gap(),
+                traffic_seed,
+            )),
             WorkloadKind::Trace(trace) => {
                 assert_eq!(
                     trace.node_count() as usize,
@@ -482,9 +494,10 @@ impl SimConfig {
     }
 
     /// Resolves the routing relation and table program, compiling faults
-    /// down to table contents. The fault-free classic path is untouched —
-    /// same calls, same bytes — so runs configured before faults existed
-    /// stay bit-identical.
+    /// down to table contents. A classic algorithm over an empty fault set
+    /// takes the fault-free classic path — same calls, same bytes — so runs
+    /// configured before faults existed stay bit-identical, and scenario
+    /// validation checks the same split.
     ///
     /// # Panics
     ///
@@ -493,15 +506,15 @@ impl SimConfig {
     /// meta-table scheme. The [`Scenario`](crate::scenario::Scenario)
     /// builder reports all of these as typed errors instead.
     fn build_routing(&self) -> (Box<dyn RoutingAlgorithm>, Arc<dyn TableScheme>) {
-        if self.faults.is_none() && !self.algorithm.fault_tolerant() {
-            let algo = self.algorithm.build();
-            let program = self.table.build(&self.mesh, algo.as_ref());
-            return (algo, program);
-        }
         let faults = self
             .faults
             .resolve(&self.mesh)
             .unwrap_or_else(|e| panic!("invalid fault configuration: {e}"));
+        if faults.is_empty() && !self.algorithm.fault_tolerant() {
+            let algo = self.algorithm.build();
+            let program = self.table.build(&self.mesh, algo.as_ref());
+            return (algo, program);
+        }
         assert!(
             faults.is_empty() || self.algorithm.fault_tolerant(),
             "{} routing cannot tolerate dead links; use up-down or up-down-adaptive",

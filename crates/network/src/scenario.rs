@@ -1,16 +1,13 @@
-//! The experiment-facing Scenario API — the one way to configure and run
-//! a simulation point.
+//! The Scenario API — the one way to configure and run a simulation point.
 //!
 //! A [`Scenario`] is a *validated* description of one simulation point:
 //! topology, router microarchitecture, routing algorithm, table scheme,
-//! workload, and run policy. [`Scenario::builder`] starts from the
-//! paper's reference point, [`ScenarioBuilder`] composes the layers with
-//! infallible setters, and [`ScenarioBuilder::build`] returns every
+//! workload, and run policy. [`ScenarioBuilder`] composes the layers with
+//! infallible setters and [`ScenarioBuilder::build`] returns every
 //! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic.
-//! [`Scenario::run`] and [`Scenario::run_capturing`] run the point; a
-//! [`SweepGrid`](crate::SweepGrid) runs many. The scenario *compiles* to a
-//! [`SimConfig`] ([`Scenario::compile`]), the plain-data form the cycle
-//! loop executes; the builder is the only constructor of that form.
+//! The result runs directly, or *compiles* ([`Scenario::compile`]) to a
+//! [`SimConfig`], the plain-data form the cycle loop and the
+//! [`SweepGrid`](crate::SweepGrid) execute, which nothing else builds.
 //!
 //! # Example
 //!
@@ -37,8 +34,9 @@ use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::router::MAX_VC_SLOTS;
 use lapses_core::RouterConfig;
-use lapses_topology::{FaultError, FaultyMesh, Mesh};
+use lapses_topology::{FaultError, FaultyMesh, Mesh, ShapeError};
 use lapses_traffic::workload::OnOffWorkload;
+use lapses_traffic::PatternError;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
 use std::fmt;
 use std::sync::Arc;
@@ -144,6 +142,19 @@ pub enum ScenarioError {
     /// seeded-random (`FaultsConfig::Random`), so every count resolves
     /// deterministically.
     AxisNeedsRandomFaults,
+    /// The topology shape is invalid (e.g. a 2-wide torus).
+    Topology(ShapeError),
+    /// The message-length distribution is invalid (the reason given).
+    Lengths(&'static str),
+    /// The traffic pattern cannot drive the topology.
+    Pattern(PatternError),
+    /// The table scheme cannot be programmed for the topology.
+    TableTopology {
+        /// The table scheme's name.
+        table: &'static str,
+        /// Why not.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -226,15 +237,20 @@ impl fmt::Display for ScenarioError {
                 f,
                 "fault-count axis needs seeded random faults (random_faults)"
             ),
+            ScenarioError::Topology(e) => write!(f, "invalid topology: {e}"),
+            ScenarioError::Lengths(reason) => write!(f, "invalid message lengths: {reason}"),
+            ScenarioError::Pattern(e) => write!(f, "invalid traffic pattern: {e}"),
+            ScenarioError::TableTopology { table, reason } => {
+                write!(f, "{table} tables cannot be programmed here: {reason}")
+            }
         }
     }
 }
 
 impl std::error::Error for ScenarioError {}
 
-/// A validated simulation scenario; run it directly, or compile it to a
-/// [`SimConfig`] for a [`SweepGrid`](crate::SweepGrid) or for
-/// instrumentation.
+/// A validated simulation scenario; run it, or compile it to a
+/// [`SimConfig`] for instrumentation.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     config: SimConfig,
@@ -243,12 +259,8 @@ pub struct Scenario {
 impl Scenario {
     /// Starts a builder at the paper's reference point: the adaptive
     /// PROUD router on a 16×16 mesh, uniform synthetic traffic at 0.2
-    /// normalized load.
-    ///
-    /// The defaults are the paper's Table 2: Duato's algorithm over full
-    /// tables, 4 VCs with 1 escape, exponential arrivals of 20-flit
-    /// messages, unit link delay, and a fast measurement profile (2k
-    /// warm-up, 20k measured messages).
+    /// normalized load, and the rest of Table 2, with a fast measurement
+    /// profile (2k warm-up, 20k measured messages).
     pub fn builder() -> ScenarioBuilder {
         let mesh = Mesh::mesh_2d(16, 16);
         ScenarioBuilder {
@@ -293,12 +305,9 @@ impl Scenario {
     }
 
     /// Runs the scenario while recording every injected message as a
-    /// `cycle src dst len` [`Trace`] event — the capture sink that closes
-    /// the replay loop: a captured synthetic run, re-run as a trace replay
-    /// with the same message counts, is bit-identical in delivered flits
-    /// and messages (each node is polled at most once per cycle and drains
-    /// every due message in that poll, so the injection interleaving
-    /// reproduces exactly).
+    /// [`Trace`] event. Replayed with the same message counts, the capture
+    /// is bit-identical to the run: each node is polled at most once per
+    /// cycle and drains every due message in that poll.
     pub fn run_capturing(&self) -> (SimResult, Trace) {
         self.config.run_capturing()
     }
@@ -483,10 +492,13 @@ impl ScenarioBuilder {
 
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
-    /// Checks, in order: load sanity, measurement window, VC counts and
-    /// the router's (port, VC) slot budget, algorithm/topology compatibility, escape-VC sufficiency for
-    /// deadlock freedom, and workload-specific consistency (Bernoulli
-    /// gap ≥ 1 cycle, bursty OFF-silence positivity, trace node count).
+    /// Checks, in order: load sanity, measurement window, the synthetic
+    /// sources' message lengths and pattern (which must fit the topology
+    /// and inject from some node), VC counts and the router's (port, VC)
+    /// slot budget, algorithm/topology compatibility, faults, the table
+    /// scheme against the topology, escape-VC sufficiency for deadlock
+    /// freedom, and workload-specific consistency (Bernoulli gap ≥ 1
+    /// cycle, bursty OFF-silence positivity, trace node count).
     /// For trace workloads the measured-injection count is clamped to the
     /// events the trace actually holds, so a trace run ends exactly when
     /// the replay drains.
@@ -498,6 +510,16 @@ impl ScenarioBuilder {
         }
         if config.measure_msgs == 0 {
             return Err(ScenarioError::EmptyMeasurement);
+        }
+        if !matches!(config.workload, WorkloadKind::Trace(_)) {
+            config.lengths.validate().map_err(ScenarioError::Lengths)?;
+            let pattern = config.pattern.try_build().map_err(ScenarioError::Pattern)?;
+            pattern
+                .check(&config.mesh)
+                .map_err(ScenarioError::Pattern)?;
+            if pattern.injecting_fraction(&config.mesh) == 0.0 {
+                return Err(ScenarioError::Pattern(PatternError::NoTraffic));
+            }
         }
 
         let router = &config.router;
@@ -550,40 +572,46 @@ impl ScenarioBuilder {
                 FaultyMesh::new(config.mesh.clone(), faults).map_err(ScenarioError::Faults)?;
             config.algorithm.build_on(&Arc::new(fmesh))
         } else {
+            config
+                .table
+                .check(&config.mesh)
+                .map_err(|reason| ScenarioError::TableTopology {
+                    table: config.table.name(),
+                    reason,
+                })?;
             config.algorithm.build()
         };
-        if !algo.deadlock_free_without_escape() {
-            // On a torus, dimension-order escapes need one VC per dateline
-            // subclass; up*/down* ignores wrap state and needs just one.
-            let needed = algo.escape_subclasses(&config.mesh).max(1);
-            if router.escape_vcs < needed {
-                return Err(ScenarioError::EscapeVcs {
-                    algorithm: config.algorithm,
-                    needed,
-                    have: router.escape_vcs,
-                });
-            }
+        // On a torus, dimension-order escapes need one VC per dateline
+        // subclass; up*/down* ignores wrap state and needs just one. A
+        // router that has escape VCs must cover every subclass even when
+        // the algorithm is deadlock-free without them.
+        let needed = algo.escape_subclasses(&config.mesh).max(1);
+        if (!algo.deadlock_free_without_escape() || router.escape_vcs > 0)
+            && router.escape_vcs < needed
+        {
+            return Err(ScenarioError::EscapeVcs {
+                algorithm: config.algorithm,
+                needed,
+                have: router.escape_vcs,
+            });
         }
 
+        let mean_gap =
+            |c: &SimConfig| Generator::mean_gap_for_load(&c.mesh, c.load, c.lengths.mean());
         match &config.workload {
-            WorkloadKind::Synthetic { arrivals } => {
-                if *arrivals == ArrivalKind::Bernoulli {
-                    let mean_gap = Generator::mean_gap_for_load(
-                        &config.mesh,
-                        config.load,
-                        config.lengths.mean(),
-                    );
-                    if mean_gap < 1.0 {
-                        return Err(ScenarioError::BernoulliGap { mean_gap });
-                    }
-                }
+            WorkloadKind::Synthetic {
+                arrivals: ArrivalKind::Bernoulli,
+            } if mean_gap(&config) < 1.0 => {
+                return Err(ScenarioError::BernoulliGap {
+                    mean_gap: mean_gap(&config),
+                });
             }
+            WorkloadKind::Synthetic { .. } => {}
             WorkloadKind::Bursty {
                 burst_len,
                 peak_gap,
             } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&config.mesh, config.load, config.lengths.mean());
+                let mean_gap = mean_gap(&config);
                 if OnOffWorkload::off_mean_for(*burst_len, *peak_gap, mean_gap).is_none() {
                     return Err(ScenarioError::BurstParams {
                         burst_len: *burst_len,
@@ -916,5 +944,213 @@ mod tests {
         let (original, trace) = s.run_capturing();
         let replay = s.to_builder().trace(Arc::new(trace)).build().unwrap().run();
         assert_eq!(original, replay);
+    }
+
+    const SMALL: &str = "topology = mesh 4x4\nwarmup = 2\nmeasure = 20\n";
+
+    fn small_point() -> ScenarioBuilder {
+        Scenario::builder().mesh_2d(4, 4).message_counts(2, 20)
+    }
+
+    fn spec_error(text: &str) -> ScenarioError {
+        use crate::spec::{ScenarioSpec, SpecError};
+        match ScenarioSpec::parse(text)
+            .unwrap()
+            .to_scenario(std::path::Path::new("."))
+        {
+            Err(SpecError::Scenario(e)) => e,
+            other => panic!("{text:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_message_lengths_are_typed_errors() {
+        for (lengths, text) in [
+            (LengthDistribution::Fixed(0), "fixed 0"),
+            (
+                LengthDistribution::UniformRange { min: 0, max: 0 },
+                "uniform 0 0",
+            ),
+            (
+                LengthDistribution::UniformRange { min: 5, max: 2 },
+                "uniform 5 2",
+            ),
+            (
+                LengthDistribution::Bimodal {
+                    short: 1,
+                    long: 2,
+                    long_fraction: 1.5,
+                },
+                "bimodal 1 2 1.5",
+            ),
+        ] {
+            let err = small_point().lengths(lengths).build().unwrap_err();
+            assert!(matches!(err, ScenarioError::Lengths(_)), "{text}: {err:?}");
+            assert_eq!(spec_error(&format!("{SMALL}lengths = {text}")), err);
+        }
+    }
+
+    #[test]
+    fn out_of_range_hotspots_are_typed_errors() {
+        use lapses_traffic::PatternError;
+        let hotspot = |node, probability| Pattern::Hotspot { node, probability };
+        let err = small_point()
+            .pattern(hotspot(9999, 0.5))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::Pattern(PatternError::HotspotNode(9999)));
+        assert_eq!(
+            spec_error(&format!("{SMALL}pattern = hotspot 9999 0.5")),
+            err
+        );
+        let err = small_point().pattern(hotspot(3, 2.0)).build().unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Pattern(PatternError::HotspotProbability(2.0))
+        );
+        assert_eq!(spec_error(&format!("{SMALL}pattern = hotspot 3 2.0")), err);
+        let nan = |e: &ScenarioError| matches!(e, ScenarioError::Pattern(PatternError::HotspotProbability(p)) if p.is_nan());
+        assert!(nan(&small_point()
+            .pattern(hotspot(3, f64::NAN))
+            .build()
+            .unwrap_err()));
+        assert!(nan(&spec_error(&format!("{SMALL}pattern = hotspot 3 nan"))));
+    }
+
+    #[test]
+    fn untileable_meta_blocks_are_typed_errors() {
+        for (shape, text) in [
+            (vec![3, 3], "3x3"),
+            (vec![8, 8], "8x8"),
+            (vec![1, 1, 1], "1x1x1"),
+        ] {
+            let err = small_point()
+                .table(TableKind::MetaBlocks(shape))
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ScenarioError::TableTopology {
+                        table: "meta-blocks",
+                        ..
+                    }
+                ),
+                "{text}: {err:?}"
+            );
+            assert_eq!(
+                spec_error(&format!("{SMALL}table = meta-blocks {text}")),
+                err
+            );
+        }
+    }
+
+    #[test]
+    fn single_node_topologies_are_typed_errors() {
+        use lapses_traffic::PatternError;
+        for (shape, text) in [(vec![1, 1], "1x1"), (vec![1], "1")] {
+            let err = small_point()
+                .topology(Mesh::mesh(&shape))
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ScenarioError::Pattern(PatternError::TooFewNodes(1)));
+            assert_eq!(
+                spec_error(&format!("topology = mesh {text}\nwarmup = 2\nmeasure = 20")),
+                err
+            );
+        }
+    }
+
+    #[test]
+    fn patterns_must_fit_the_topology_and_inject() {
+        use lapses_traffic::PatternError;
+        let on = |mesh: Mesh, pattern| small_point().topology(mesh).pattern(pattern).build();
+        assert_eq!(
+            on(Mesh::mesh_2d(3, 3), Pattern::Transpose).unwrap_err(),
+            ScenarioError::Pattern(PatternError::NotPowerOfTwo(9))
+        );
+        assert_eq!(
+            on(Mesh::mesh(&[8]), Pattern::Transpose).unwrap_err(),
+            ScenarioError::Pattern(PatternError::OddAddressBits(3))
+        );
+        // Two nodes: bit reversal maps each to itself; a 2-wide row gives
+        // tornado no hop.
+        assert_eq!(
+            on(Mesh::mesh(&[2]), Pattern::BitReversal).unwrap_err(),
+            ScenarioError::Pattern(PatternError::NoTraffic)
+        );
+        assert_eq!(
+            on(Mesh::mesh_2d(2, 4), Pattern::Tornado).unwrap_err(),
+            ScenarioError::Pattern(PatternError::NoTraffic)
+        );
+        // Trace replay ignores the pattern.
+        let trace = small_point()
+            .pattern(Pattern::Transpose)
+            .topology(Mesh::mesh_2d(3, 3))
+            .trace(tiny_trace(9));
+        assert!(trace.build().is_ok());
+    }
+
+    #[test]
+    fn tables_that_need_a_mesh_reject_tori() {
+        let torus = || small_point().topology(Mesh::torus_2d(4, 4)).vcs(4, 2);
+        for table in [TableKind::Interval, TableKind::MetaRows] {
+            let err = torus().table(table.clone()).build().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::TableTopology { .. }),
+                "{table:?}: {err:?}"
+            );
+        }
+        // Up*/down* programs interval runs on a torus.
+        assert!(torus()
+            .algorithm(Algorithm::UpDown)
+            .table(TableKind::Interval)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn dimension_order_escape_vcs_must_cover_every_dateline() {
+        // The router's escape VCs must cover both dateline subclasses even
+        // though dimension-order routing needs none.
+        let torus = || {
+            small_point()
+                .topology(Mesh::torus_2d(4, 4))
+                .algorithm(Algorithm::DimensionOrder)
+        };
+        assert_eq!(
+            torus().build().unwrap_err(),
+            ScenarioError::EscapeVcs {
+                algorithm: Algorithm::DimensionOrder,
+                needed: 2,
+                have: 1
+            }
+        );
+        assert!(!torus().vcs(4, 2).build().unwrap().run().saturated);
+    }
+
+    #[test]
+    fn huge_random_fault_counts_are_typed() {
+        let err = small_point()
+            .algorithm(Algorithm::UpDown)
+            .random_faults(usize::MAX, 1)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Faults(FaultError::TooManyFaults { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn an_empty_random_fault_draw_takes_the_classic_path() {
+        // Meta-tables have no faulty programming, and need none here.
+        let r = small_point()
+            .random_faults(0, 9)
+            .table(TableKind::MetaRows)
+            .build()
+            .unwrap()
+            .run();
+        assert!(!r.saturated);
     }
 }

@@ -196,9 +196,7 @@ fn shape_to_string(shape: &[u16]) -> String {
 }
 
 fn parse_shape(text: &str) -> Option<Vec<u16>> {
-    let shape: Option<Vec<u16>> = text.split('x').map(|k| k.parse().ok()).collect();
-    let shape = shape?;
-    (!shape.is_empty() && shape.iter().all(|&k| k >= 1)).then_some(shape)
+    text.split('x').map(|k| k.parse().ok()).collect()
 }
 
 impl ScenarioSpec {
@@ -268,6 +266,8 @@ impl ScenarioSpec {
                     };
                     spec.shape = parse_shape(shape)
                         .ok_or_else(|| err(format!("bad topology shape {shape:?}")))?;
+                    Mesh::try_new(&spec.shape, spec.torus)
+                        .map_err(|e| err(format!("bad topology shape {shape:?}: {e}")))?;
                 }
                 "faults" => {
                     if seen.contains(&"fault-count") || seen.contains(&"fault-seed") {
@@ -589,11 +589,7 @@ impl ScenarioSpec {
     /// file relative to `base_dir`. Call `.build()` on the result (or use
     /// [`ScenarioSpec::to_scenario`]) to validate.
     pub fn to_builder(&self, base_dir: &Path) -> Result<ScenarioBuilder, SpecError> {
-        let mesh = if self.torus {
-            Mesh::torus(&self.shape)
-        } else {
-            Mesh::mesh(&self.shape)
-        };
+        let mesh = Mesh::try_new(&self.shape, self.torus).map_err(ScenarioError::Topology)?;
         let mut router = self.router.build().with_lookahead(self.lookahead);
         if let Some((total, escape)) = self.vcs {
             router.vcs_per_port = total;
@@ -867,5 +863,52 @@ mod tests {
         };
         let err = spec.to_scenario(Path::new("/nonexistent")).unwrap_err();
         assert!(matches!(err, SpecError::Trace(_)), "{err:?}");
+    }
+
+    fn shape_error_line(text: &str) -> (usize, String) {
+        match ScenarioSpec::parse(text).unwrap_err() {
+            SpecError::Parse { line, message } => (line, message),
+            other => panic!("{text:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_2x2_torus_is_a_line_numbered_parse_error() {
+        let (line, message) = shape_error_line("load = 0.2\ntopology = torus 2x2\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("at least 3"), "{message}");
+    }
+
+    #[test]
+    fn a_five_dimensional_mesh_is_a_line_numbered_parse_error() {
+        let (line, message) = shape_error_line("topology = mesh 2x2x2x2x2\n");
+        assert_eq!(line, 1);
+        assert!(message.contains("dimensionality"), "{message}");
+    }
+
+    #[test]
+    fn an_oversized_mesh_is_a_line_numbered_parse_error() {
+        let (line, message) = shape_error_line("seed = 1\n\ntopology = mesh 65535x65535x2\n");
+        assert_eq!(line, 3);
+        assert!(message.contains("too large"), "{message}");
+    }
+
+    #[test]
+    fn an_invalid_shape_set_in_code_is_a_scenario_error() {
+        let spec = ScenarioSpec {
+            torus: true,
+            shape: vec![2, 2],
+            ..ScenarioSpec::default()
+        };
+        let err = spec.to_scenario(Path::new(".")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Scenario(ScenarioError::Topology(
+                    lapses_topology::ShapeError::TorusExtent(2)
+                ))
+            ),
+            "{err:?}"
+        );
     }
 }

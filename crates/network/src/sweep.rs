@@ -52,8 +52,9 @@
 
 use crate::experiment::{Algorithm, FaultsConfig, SimConfig, WorkloadKind};
 use crate::report::SweepReport;
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
 use crate::stats::SimResult;
+use lapses_topology::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -116,90 +117,66 @@ impl ScenarioAxis {
     /// Applies the axis to `base`, yielding the `(x, scenario)` points of
     /// one series — each re-validated through the scenario builder.
     fn apply(&self, base: &Scenario) -> Result<Vec<(f64, Scenario)>, ScenarioError> {
-        let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] < w[1]);
-        let points: Vec<(f64, Scenario)> = match self {
-            ScenarioAxis::Load(loads) => {
-                // Trace replay carries its own timing and ignores the
-                // load field — a "load sweep" over it would just re-run
-                // the identical replay N times.
-                if matches!(base.config().workload, WorkloadKind::Trace(_)) {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
-                }
-                if !ascending(loads) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
-                loads
-                    .iter()
-                    .map(|&load| Ok((load, base.to_builder().load(load).build()?)))
-                    .collect::<Result<_, ScenarioError>>()?
-            }
+        let config = base.config();
+        let mismatch = || ScenarioError::AxisMismatch {
+            axis: self.name(),
+            workload: config.workload.name(),
+        };
+        // Trace replay carries its own timing and node count: a load or
+        // extent sweep over it would re-run the identical replay.
+        let trace = matches!(config.workload, WorkloadKind::Trace(_));
+        let points: Vec<(f64, Result<ScenarioBuilder, ScenarioError>)> = match self {
+            ScenarioAxis::Load(_) | ScenarioAxis::MeshExtent(_) if trace => return Err(mismatch()),
+            ScenarioAxis::Load(loads) => loads
+                .iter()
+                .map(|&load| (load, Ok(base.to_builder().load(load))))
+                .collect(),
             ScenarioAxis::BurstLen(lens) => {
-                let WorkloadKind::Bursty { peak_gap, .. } = base.config().workload else {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
+                let WorkloadKind::Bursty { peak_gap, .. } = config.workload else {
+                    return Err(mismatch());
                 };
-                if !ascending(&lens.iter().map(|&l| l as f64).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
                 lens.iter()
-                    .map(|&len| Ok((len as f64, base.to_builder().bursty(len, peak_gap).build()?)))
-                    .collect::<Result<_, ScenarioError>>()?
+                    .map(|&len| (len as f64, Ok(base.to_builder().bursty(len, peak_gap))))
+                    .collect()
             }
-            ScenarioAxis::MeshExtent(extents) => {
-                if matches!(base.config().workload, WorkloadKind::Trace(_)) {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
-                }
-                let nodes = |&(w, h): &(u16, u16)| w as f64 * h as f64;
-                if !ascending(&extents.iter().map(nodes).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
-                let torus = base.config().mesh.is_torus();
-                extents
-                    .iter()
-                    .map(|&(w, h)| {
-                        let mesh = if torus {
-                            lapses_topology::Mesh::torus_2d(w, h)
-                        } else {
-                            lapses_topology::Mesh::mesh_2d(w, h)
-                        };
-                        Ok((
-                            (w as usize * h as usize) as f64,
-                            base.to_builder().topology(mesh).build()?,
-                        ))
-                    })
-                    .collect::<Result<_, ScenarioError>>()?
-            }
+            ScenarioAxis::MeshExtent(extents) => extents
+                .iter()
+                .map(|&(w, h)| {
+                    let mesh = Mesh::try_new(&[w, h], config.mesh.is_torus());
+                    let builder = mesh.map(|mesh| base.to_builder().topology(mesh));
+                    (
+                        (w as usize * h as usize) as f64,
+                        builder.map_err(ScenarioError::Topology),
+                    )
+                })
+                .collect(),
             ScenarioAxis::Algorithm(algos) => algos
                 .iter()
-                .map(|&a| Ok((base.config().load, base.to_builder().algorithm(a).build()?)))
-                .collect::<Result<_, ScenarioError>>()?,
+                .map(|&a| (config.load, Ok(base.to_builder().algorithm(a))))
+                .collect(),
             ScenarioAxis::FaultCount(counts) => {
-                let FaultsConfig::Random { seed, .. } = base.config().faults else {
+                let FaultsConfig::Random { seed, .. } = config.faults else {
                     return Err(ScenarioError::AxisNeedsRandomFaults);
                 };
-                if !ascending(&counts.iter().map(|&c| c as f64).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
                 counts
                     .iter()
                     .map(|&count| {
-                        Ok((
+                        (
                             count as f64,
-                            base.to_builder().random_faults(count, seed).build()?,
-                        ))
+                            Ok(base.to_builder().random_faults(count, seed)),
+                        )
                     })
-                    .collect::<Result<_, ScenarioError>>()?
+                    .collect()
             }
         };
-        Ok(points)
+        let ascending = points.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending && !matches!(self, ScenarioAxis::Algorithm(_)) {
+            return Err(ScenarioError::AxisNotAscending { axis: self.name() });
+        }
+        points
+            .into_iter()
+            .map(|(x, builder)| Ok((x, builder?.build()?)))
+            .collect()
     }
 }
 
@@ -504,7 +481,6 @@ fn derive_seed(master: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::experiment::Pattern;
-    use crate::scenario::ScenarioBuilder;
 
     fn tiny(pattern: Pattern) -> ScenarioBuilder {
         Scenario::builder()
@@ -653,5 +629,37 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert!(points[0].1.saturated);
         assert!(!points[1].1.saturated);
+    }
+
+    #[test]
+    fn mesh_extent_axis_rejects_a_2x2_torus() {
+        let torus = Scenario::builder()
+            .torus_2d(4, 4)
+            .vcs(4, 2)
+            .message_counts(30, 200)
+            .build()
+            .unwrap();
+        let err = SweepGrid::new()
+            .scenario_series("t", &torus, &ScenarioAxis::MeshExtent(vec![(2, 2)]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Topology(lapses_topology::ShapeError::TorusExtent(2))
+        );
+    }
+
+    #[test]
+    fn mesh_extent_axis_rejects_a_zero_extent() {
+        let err = SweepGrid::new()
+            .scenario_series(
+                "m",
+                &tiny(Pattern::Uniform).build().unwrap(),
+                &ScenarioAxis::MeshExtent(vec![(0, 4), (4, 4)]),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::Topology(lapses_topology::ShapeError::ZeroExtent)
+        );
     }
 }

@@ -151,7 +151,7 @@ impl FaultSet {
             let j = rng.below(i as u64 + 1) as usize;
             candidates.swap(i, j);
         }
-        let mut chosen = Vec::with_capacity(count);
+        let mut chosen = Vec::with_capacity(count.min(candidates.len()));
         for link in candidates {
             if chosen.len() == count {
                 break;

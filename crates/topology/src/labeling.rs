@@ -70,37 +70,49 @@ impl ClusterMap {
     /// Panics if `cluster_shape` has the wrong dimensionality or does not
     /// evenly tile the mesh, or if `mesh` is a torus (the paper's meta-table
     /// analysis targets meshes; cluster "safe directions" are not defined
-    /// under wrap-around).
+    /// under wrap-around). [`ClusterMap::try_blocks`] returns the reason
+    /// instead.
     pub fn blocks(mesh: &Mesh, cluster_shape: &[u16]) -> ClusterMap {
-        assert!(!mesh.is_torus(), "cluster maps require a mesh, not a torus");
-        assert_eq!(
-            cluster_shape.len(),
-            mesh.dims(),
-            "cluster shape dimensionality mismatch"
-        );
+        Self::try_blocks(mesh, cluster_shape).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The fallible form of [`ClusterMap::blocks`].
+    pub fn try_blocks(mesh: &Mesh, cluster_shape: &[u16]) -> Result<ClusterMap, String> {
+        if mesh.is_torus() {
+            return Err("cluster maps require a mesh, not a torus".into());
+        }
+        if cluster_shape.len() != mesh.dims() {
+            return Err("cluster shape dimensionality mismatch".into());
+        }
         let mut grid = Vec::with_capacity(mesh.dims());
         for (d, (&c, &k)) in cluster_shape.iter().zip(mesh.shape()).enumerate() {
-            assert!(c > 0, "cluster extent must be positive");
-            assert!(
-                k % c == 0,
-                "cluster extent {c} does not tile dimension {d} of extent {k}"
-            );
+            if c == 0 || k % c != 0 {
+                return Err(format!(
+                    "cluster extent {c} does not tile dimension {d} of extent {k}"
+                ));
+            }
             grid.push(k / c);
         }
-        ClusterMap {
+        Ok(ClusterMap {
             mesh_shape: mesh.shape().to_vec(),
             cluster_shape: cluster_shape.to_vec(),
             grid,
-        }
+        })
     }
 
     /// The paper's Fig. 8(a) labeling: each cluster is a full row (all of
     /// dimension 0, one unit of every other dimension), forcing
     /// dimension-order routing.
     pub fn rows(mesh: &Mesh) -> ClusterMap {
+        Self::blocks(mesh, &Self::row_shape(mesh))
+    }
+
+    /// The cluster shape of [`ClusterMap::rows`]: all of dimension 0, one
+    /// unit of every other dimension.
+    pub fn row_shape(mesh: &Mesh) -> Vec<u16> {
         let mut shape = vec![1u16; mesh.dims()];
         shape[0] = mesh.extent(0);
-        Self::blocks(mesh, &shape)
+        shape
     }
 
     /// Number of clusters.

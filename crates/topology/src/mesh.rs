@@ -5,6 +5,32 @@ use crate::port::{Direction, Port, PortSet};
 use crate::NodeId;
 use std::fmt;
 
+/// Why [`Mesh::try_new`] rejected a shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// The dimensionality (given) is outside `1..=MAX_DIMS`.
+    Dims(usize),
+    /// Some extent is zero.
+    ZeroExtent,
+    /// A torus extent (given) is below 3.
+    TorusExtent(u16),
+    /// The node count exceeds the `u32` node-id space.
+    TooLarge,
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeError::Dims(_) => write!(f, "mesh dimensionality must be 1..={MAX_DIMS}"),
+            ShapeError::ZeroExtent => write!(f, "mesh extents must be positive"),
+            ShapeError::TorusExtent(k) => write!(f, "torus extents must be at least 3, got {k}"),
+            ShapeError::TooLarge => write!(f, "mesh too large"),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 /// A k-ary n-dimensional mesh, optionally with wrap-around links (torus).
 ///
 /// The paper's evaluation network is `Mesh::mesh_2d(16, 16)`; §5.2.1 argues
@@ -42,12 +68,12 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if `shape` is empty, longer than [`MAX_DIMS`], or any extent
-    /// is zero.
+    /// is zero (see [`Mesh::try_new`]).
     // The name mirrors `Mesh::torus` and reads well at call sites
     // (`Mesh::mesh(&[4, 4, 4])`), so keep it despite the clippy style lint.
     #[allow(clippy::self_named_constructors)]
     pub fn mesh(shape: &[u16]) -> Mesh {
-        Self::with_wrap(shape, false)
+        Self::try_new(shape, false).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates an n-dimensional torus (mesh with wrap-around links).
@@ -58,27 +84,28 @@ impl Mesh {
     /// if any extent is less than 3 — a wrap link in a 2-wide dimension
     /// would duplicate the direct link and break neighbor uniqueness.
     pub fn torus(shape: &[u16]) -> Mesh {
-        for &k in shape {
-            assert!(k >= 3, "torus extents must be at least 3, got {k}");
-        }
-        Self::with_wrap(shape, true)
+        Self::try_new(shape, true).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn with_wrap(shape: &[u16], torus: bool) -> Mesh {
-        assert!(
-            !shape.is_empty() && shape.len() <= MAX_DIMS,
-            "mesh dimensionality must be 1..={MAX_DIMS}"
-        );
-        assert!(
-            shape.iter().all(|&k| k > 0),
-            "mesh extents must be positive"
-        );
-        let nodes: u64 = shape.iter().map(|&k| k as u64).product();
-        assert!(nodes <= u32::MAX as u64, "mesh too large");
-        Mesh {
+    /// Creates a mesh (or, with `torus`, a torus), or says why the shape
+    /// is invalid: the fallible form of [`Mesh::mesh`] and [`Mesh::torus`].
+    pub fn try_new(shape: &[u16], torus: bool) -> Result<Mesh, ShapeError> {
+        if let Some(&k) = shape.iter().find(|&&k| torus && k < 3) {
+            return Err(ShapeError::TorusExtent(k));
+        }
+        if shape.is_empty() || shape.len() > MAX_DIMS {
+            return Err(ShapeError::Dims(shape.len()));
+        }
+        if shape.contains(&0) {
+            return Err(ShapeError::ZeroExtent);
+        }
+        if shape.iter().map(|&k| k as u64).product::<u64>() > u32::MAX as u64 {
+            return Err(ShapeError::TooLarge);
+        }
+        Ok(Mesh {
             shape: shape.to_vec(),
             torus,
-        }
+        })
     }
 
     /// The paper's evaluation topology family: a `width × height` 2-D mesh.
@@ -502,5 +529,21 @@ mod tests {
     fn display_names_topology() {
         assert_eq!(Mesh::mesh_2d(16, 16).to_string(), "16x16 mesh");
         assert_eq!(Mesh::torus(&[4, 4, 4]).to_string(), "4x4x4 torus");
+    }
+
+    #[test]
+    fn try_new_reports_each_shape_error() {
+        assert_eq!(
+            Mesh::try_new(&[2, 2], true),
+            Err(ShapeError::TorusExtent(2))
+        );
+        assert_eq!(Mesh::try_new(&[], false), Err(ShapeError::Dims(0)));
+        assert_eq!(Mesh::try_new(&[2; 5], false), Err(ShapeError::Dims(5)));
+        assert_eq!(Mesh::try_new(&[4, 0], false), Err(ShapeError::ZeroExtent));
+        assert_eq!(
+            Mesh::try_new(&[65535, 65535, 2], false),
+            Err(ShapeError::TooLarge)
+        );
+        assert_eq!(Mesh::try_new(&[3, 3], true), Ok(Mesh::torus_2d(3, 3)));
     }
 }

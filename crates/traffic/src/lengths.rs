@@ -36,20 +36,36 @@ impl LengthDistribution {
     /// The paper's default: 20-flit messages.
     pub const PAPER_DEFAULT: LengthDistribution = LengthDistribution::Fixed(20);
 
+    /// Checks the parameters [`sample`](Self::sample) asserts: every
+    /// length at least one flit, an ordered range, and a long fraction in
+    /// `[0, 1]`.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        use LengthDistribution::{Bimodal, Fixed, UniformRange};
+        match *self {
+            Fixed(0) | Bimodal { short: 0, .. } | Bimodal { long: 0, .. } => {
+                Err("message length must be at least 1 flit")
+            }
+            UniformRange { min, max } if min < 1 || min > max => Err("invalid length range"),
+            Bimodal {
+                long_fraction: f, ..
+            } if !(0.0..=1.0).contains(&f) => Err("long_fraction must be in [0, 1]"),
+            _ => Ok(()),
+        }
+    }
+
     /// Draws a message length in flits (always at least 1).
     ///
     /// # Panics
     ///
-    /// Panics if the distribution parameters are invalid (zero lengths,
-    /// inverted range, or a fraction outside `[0, 1]`).
+    /// Panics if the distribution parameters are invalid (see
+    /// [`validate`](Self::validate)).
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
+        }
         match *self {
-            LengthDistribution::Fixed(len) => {
-                assert!(len >= 1, "message length must be at least 1 flit");
-                len
-            }
+            LengthDistribution::Fixed(len) => len,
             LengthDistribution::UniformRange { min, max } => {
-                assert!(min >= 1 && min <= max, "invalid length range");
                 rng.range(min as u64, max as u64 + 1) as u32
             }
             LengthDistribution::Bimodal {
@@ -57,11 +73,6 @@ impl LengthDistribution {
                 long,
                 long_fraction,
             } => {
-                assert!(short >= 1 && long >= 1, "message length must be at least 1");
-                assert!(
-                    (0.0..=1.0).contains(&long_fraction),
-                    "long_fraction must be in [0, 1]"
-                );
                 if rng.chance(long_fraction) {
                     long
                 } else {

@@ -39,6 +39,6 @@ mod generator;
 pub use arrivals::ArrivalProcess;
 pub use generator::{Generator, MessageSpec};
 pub use lengths::LengthDistribution;
-pub use patterns::TrafficPattern;
+pub use patterns::{PatternError, TrafficPattern};
 pub use trace::{Trace, TraceError, TraceEvent, TraceWorkload};
 pub use workload::{OnOffWorkload, SyntheticWorkload, Workload};

@@ -25,6 +25,13 @@ pub trait TrafficPattern: fmt::Debug + Send + Sync {
     /// not inject under this pattern.
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId>;
 
+    /// Checks what [`destination`](Self::destination) requires of `mesh`
+    /// (node count, address width, hotspot id) — the predicates behind
+    /// its asserts. The default requires two nodes.
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        two_nodes(mesh)
+    }
+
     /// Fraction of nodes that inject (1.0 unless the pattern has
     /// self-mapped sources). Used when normalizing offered load.
     fn injecting_fraction(&self, mesh: &Mesh) -> f64 {
@@ -37,18 +44,61 @@ pub trait TrafficPattern: fmt::Debug + Send + Sync {
     }
 }
 
+/// Why a pattern cannot drive a topology.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PatternError {
+    /// Fewer than two nodes (given): nowhere to send.
+    TooFewNodes(usize),
+    /// A bit permutation over a node count (given) not a power of two.
+    NotPowerOfTwo(usize),
+    /// Transpose over an odd number of address bits (given).
+    OddAddressBits(u32),
+    /// The hotspot node lies outside the topology.
+    HotspotNode(u32),
+    /// The hotspot probability (given) is outside `[0, 1]`.
+    HotspotProbability(f64),
+    /// No node injects under the pattern on this topology.
+    NoTraffic,
+}
+
+impl fmt::Display for PatternError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::TooFewNodes(n) => write!(f, "traffic needs at least two nodes, got {n}"),
+            Self::NotPowerOfTwo(n) => {
+                write!(f, "bit permutations need power-of-two nodes, got {n}")
+            }
+            Self::OddAddressBits(b) => write!(f, "transpose needs even address bits, got {b}"),
+            Self::HotspotNode(node) => write!(f, "hotspot node {node} is not in the topology"),
+            Self::HotspotProbability(p) => write!(f, "hotspot probability outside [0, 1]: {p}"),
+            Self::NoTraffic => write!(f, "no node injects under this pattern"),
+        }
+    }
+}
+
+impl std::error::Error for PatternError {}
+
+fn two_nodes(mesh: &Mesh) -> Result<(), PatternError> {
+    match mesh.node_count() {
+        n @ 0..=1 => Err(PatternError::TooFewNodes(n)),
+        _ => Ok(()),
+    }
+}
+
 /// Number of address bits of a power-of-two network.
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two.
-fn address_bits(mesh: &Mesh) -> u32 {
+fn try_address_bits(mesh: &Mesh) -> Result<u32, PatternError> {
+    two_nodes(mesh)?;
     let n = mesh.node_count();
-    assert!(
-        n.is_power_of_two(),
-        "bit-permutation patterns need a power-of-two node count, got {n}"
-    );
-    n.trailing_zeros()
+    let bits = n.is_power_of_two().then(|| n.trailing_zeros());
+    bits.ok_or(PatternError::NotPowerOfTwo(n))
+}
+
+/// Half the address width, which transpose swaps.
+fn transpose_half(mesh: &Mesh) -> Result<u32, PatternError> {
+    match try_address_bits(mesh)? {
+        bits if !bits.is_multiple_of(2) => Err(PatternError::OddAddressBits(bits)),
+        bits => Ok(bits / 2),
+    }
 }
 
 /// Node-uniform traffic: each message picks a destination uniformly among
@@ -99,13 +149,12 @@ impl TrafficPattern for Transpose {
         "transpose"
     }
 
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        transpose_half(mesh).map(|_| ())
+    }
+
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
-        assert!(
-            bits.is_multiple_of(2),
-            "transpose needs an even number of address bits, got {bits}"
-        );
-        let half = bits / 2;
+        let half = transpose_half(mesh).unwrap_or_else(|e| panic!("{e}"));
         let mask = (1u32 << half) - 1;
         let dest = NodeId(((src.0 & mask) << half) | (src.0 >> half));
         (dest != src).then_some(dest)
@@ -131,8 +180,12 @@ impl TrafficPattern for BitReversal {
         "bit-reversal"
     }
 
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        try_address_bits(mesh).map(|_| ())
+    }
+
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = try_address_bits(mesh).unwrap_or_else(|e| panic!("{e}"));
         let dest = NodeId(src.0.reverse_bits() >> (32 - bits));
         (dest != src).then_some(dest)
     }
@@ -158,8 +211,12 @@ impl TrafficPattern for PerfectShuffle {
         "perfect-shuffle"
     }
 
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        try_address_bits(mesh).map(|_| ())
+    }
+
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = try_address_bits(mesh).unwrap_or_else(|e| panic!("{e}"));
         let mask = (1u32 << bits) - 1;
         let dest = NodeId(((src.0 << 1) | (src.0 >> (bits - 1))) & mask);
         (dest != src).then_some(dest)
@@ -185,8 +242,12 @@ impl TrafficPattern for BitComplement {
         "bit-complement"
     }
 
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        try_address_bits(mesh).map(|_| ())
+    }
+
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = try_address_bits(mesh).unwrap_or_else(|e| panic!("{e}"));
         let mask = (1u32 << bits) - 1;
         Some(NodeId(!src.0 & mask))
     }
@@ -240,21 +301,34 @@ impl Hotspot {
     ///
     /// Panics if `probability` is outside `[0, 1]`.
     pub fn new(hotspot: NodeId, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "hotspot probability must be in [0, 1]"
-        );
-        Hotspot {
+        Self::try_new(hotspot, probability).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The fallible form of [`Hotspot::new`].
+    pub fn try_new(hotspot: NodeId, probability: f64) -> Result<Self, PatternError> {
+        if !(0.0..=1.0).contains(&probability) {
+            return Err(PatternError::HotspotProbability(probability));
+        }
+        Ok(Hotspot {
             hotspot,
             probability,
             uniform: Uniform::new(),
-        }
+        })
     }
 }
 
 impl TrafficPattern for Hotspot {
     fn name(&self) -> &'static str {
         "hotspot"
+    }
+
+    fn check(&self, mesh: &Mesh) -> Result<(), PatternError> {
+        two_nodes(mesh)?;
+        if self.hotspot.index() < mesh.node_count() {
+            Ok(())
+        } else {
+            Err(PatternError::HotspotNode(self.hotspot.0))
+        }
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId> {

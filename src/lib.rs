@@ -55,11 +55,11 @@
 //! `cycle src dst len` text trace (`.trace(...)`,
 //! [`traffic::Trace`]). Any run can *record* such a trace while it
 //! executes ([`Scenario::run_capturing`](network::Scenario::run_capturing))
-//! — a captured
-//! synthetic run replayed as a trace is bit-identical. Validation
-//! catches inconsistent compositions — escape-VC shortages, turn models
-//! on tori, impossible burst shapes, invalid fault sets — as typed
-//! errors instead of mid-run panics.
+//! — a captured synthetic run replayed as a trace is bit-identical. Validation
+//! catches inconsistent compositions — invalid topology shapes and
+//! message lengths, patterns or table schemes the topology cannot hold,
+//! escape-VC shortages, turn models on tori, impossible burst shapes,
+//! invalid fault sets — as typed errors instead of mid-run panics.
 //!
 //! Topologies need not be perfect: kill links (explicitly or as a seeded
 //! random draw) and route around them with the up*/down* family
