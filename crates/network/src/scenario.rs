@@ -511,6 +511,7 @@ impl ScenarioBuilder {
         if config.measure_msgs == 0 {
             return Err(ScenarioError::EmptyMeasurement);
         }
+        // Trace replay carries its own lengths and destinations.
         if !matches!(config.workload, WorkloadKind::Trace(_)) {
             config.lengths.validate().map_err(ScenarioError::Lengths)?;
             let pattern = config.pattern.try_build().map_err(ScenarioError::Pattern)?;
