@@ -217,14 +217,13 @@ const RAW_LINES: &[&str] = &[
 ];
 
 /// Keys most specs set, so that many cases reach the run check (absent
-/// `warmup` / `measure` default to the 22k-message paper profile).
+/// `warmup` / `measure` default to a 22k-message profile).
 const LIKELY: &[&str] = &["topology", "warmup", "measure"];
 
 /// Assembles one spec text from a stream of random draws. Each line takes
 /// a boundary value one time in four. Most specs are well-formed, with at
-/// most one way of giving faults; one in eight
-/// carries a garbage value, one in eight a stray line, and one in eight a
-/// duplicate key.
+/// most one way of giving faults; one in eight carries a garbage value,
+/// one in eight a stray line, and one in eight a duplicate key.
 fn spec_text(entropy: &[u64]) -> String {
     let mut draws = entropy.iter().copied();
     let mut next = move || draws.next().unwrap_or(0);
