@@ -832,6 +832,12 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_fault_list_means_no_faults() {
+        let s = small().faults(&[]).build().unwrap();
+        assert_eq!(s.config().faults, FaultsConfig::None);
+    }
+
+    #[test]
     fn fault_on_a_non_link_is_typed() {
         use lapses_topology::FaultError;
         // (0, 5) is a diagonal on the 4x4 mesh: no link.
