@@ -50,5 +50,5 @@ mod arbiter;
 pub use config::{PipelineModel, RouterConfig};
 pub use flit::{ColdFlit, Flit, FlitKind, MessageId, MsgRef};
 pub use psh::PathSelection;
-pub use router::{Router, StepOutputs, StepSink};
+pub use router::{Router, StepSink};
 pub use tables::{RouteEntry, RouterTable, TableScheme};

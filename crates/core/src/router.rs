@@ -10,7 +10,7 @@
 //! ```
 //!
 //! * **SY** — a flit delivered by the link lands in its per-VC input
-//!   buffer ([`Router::accept_flit`]);
+//!   buffer ([`Router::commit_flit`]);
 //! * **TL** — the head's destination indexes the routing table
 //!   ([`crate::tables::RouterTable::entry`]); in LA-PROUD the result was
 //!   carried in the header and this stage disappears;
@@ -20,7 +20,8 @@
 //!   runs here concurrently and is written into the outgoing header;
 //! * **XB** — separable (input-first, then output round-robin) switch
 //!   allocation moves one flit per input port and per output port per
-//!   cycle into the output staging buffers;
+//!   cycle toward its output: the payload goes to the [`StepSink`], the
+//!   output staging ring keeps the flit's place in line;
 //! * **VM** — per physical channel, one staged flit with downstream
 //!   credits wins the VC multiplexor and enters the link.
 //!
@@ -31,30 +32,33 @@
 //!
 //! # The SoA flit arenas and the slot lifecycle
 //!
-//! All flit storage lives in four contiguous **structure-of-arrays
-//! arenas**: per buffer class (input, output staging) one dense
-//! one-byte-per-slot array of [`FlitKind`]s — the hot half every stage
-//! branches on — and one parallel side array of [`ColdFlit`]s holding the
-//! fields only head-flit decoding and launch reassembly read (see
-//! [`crate::flit`]). Each (port, VC) owns the fixed arena segment
+//! All flit storage lives in **structure-of-arrays arenas**: per buffer
+//! class (input, output staging) one dense one-byte-per-slot array of
+//! [`FlitKind`]s — the hot half every stage branches on — plus a
+//! parallel side array of [`ColdFlit`]s holding the fields only head-flit
+//! decoding and payload hand-off read (see [`crate::flit`]). Each
+//! (port, VC) owns the fixed arena segment
 //! `flat_index * cap .. (flat_index + 1) * cap`, used as a ring whose
 //! cursor lives in the VC's [`InputVc`]/[`OutputVc`] header; cursors wrap
 //! with a compare instead of a modulo so the hot path never divides.
+//! Only the ejection port's staging slots ever hold a payload, so the
+//! staging cold array covers that port alone.
 //!
-//! A slot's lifecycle per hop: a flit lands in the input ring either via
-//! [`Router::accept_flit`] (split and written at the tail on arrival —
-//! the NIC injection and reference-wire path) or via the network's
-//! zero-copy wire, where the upstream launch pre-writes the payload into
-//! the exact slot it will occupy ([`Router::reserve_flit`]) and the
-//! link-delay-later arrival merely flips it visible
-//! ([`Router::commit_flit`]) — both are the **SY** stage. The **XB**
-//! winner copies the two halves straight from the input ring head to the
-//! staging ring tail — the full [`Flit`] is never reassembled mid-router
-//! — and frees the input slot (returning a credit upstream); the **VM**
-//! grant pops the staging head and reassembles the wire flit for the
-//! link (or for the next hop's reservation). Routing (**TL**/**SA**)
-//! reads only the ring head's kind byte plus, for heads, the cold
-//! `dest`/`lookahead` fields.
+//! A slot's lifecycle per hop is the **SY** stage in two halves: the
+//! payload is written into the exact input-ring slot it will occupy
+//! ([`Router::reserve_flit`] — done by the upstream crossbar, a link
+//! delay ahead of the arrival) and the arrival flips it visible
+//! ([`Router::commit_flit`]). NIC injection does both at once
+//! ([`Router::accept_flit`]). The **XB** winner hands the payload from
+//! the input ring head to the sink ([`StepSink::transfer`], which places
+//! it in the downstream router's input ring), stages only its kind byte,
+//! and frees the input slot (returning a credit upstream); the **VM**
+//! grant pops the staging head and announces the launch
+//! ([`StepSink::launch`]). Flits bound for the local port are the one
+//! exception: XB copies both halves into the ejection staging ring and
+//! VM reassembles the flit for [`StepSink::eject`]. Routing
+//! (**TL**/**SA**) reads only the ring head's kind byte plus, for heads,
+//! the cold `dest`/`lookahead` fields.
 //!
 //! # The cycle walk
 //!
@@ -161,93 +165,30 @@ const COLD_FILLER: ColdFlit = ColdFlit {
     lookahead: None,
 };
 
-/// A flit entering a link this cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct Launch {
-    /// Output port the flit leaves through.
-    pub port: Port,
-    /// Virtual channel on that port.
-    pub vc: usize,
-    /// The flit itself.
-    pub flit: Flit,
-}
-
-/// Receives a router's per-cycle outputs as the stages produce them.
+/// Receives a router's per-cycle outputs as the stages produce them —
+/// the router's one output protocol, the zero-copy wire.
 ///
-/// The network layer implements this to route launches and credits onto
-/// its wires *directly from the pipeline stages*, skipping the
-/// [`StepOutputs`] staging buffers of the convenience API (which itself
-/// implements the trait). Callbacks arrive in deterministic order: VM
-/// launches in ascending output-port order, then XB credits in crossbar
-/// grant order.
+/// A flit bound for a neighbor leaves in two calls: at XB time its
+/// payload goes to [`StepSink::transfer`] (the network writes it into the
+/// downstream input ring), and when it later wins the VC multiplexor
+/// [`StepSink::launch`] announces it. Launches at one `(port, vc)` come
+/// in transfer order, so the sink can treat each output VC as a FIFO. A
+/// flit bound for the local port never transfers; VM hands it whole to
+/// [`StepSink::eject`]. Within a cycle the callbacks arrive in a
+/// deterministic order: VM launches and ejections in ascending
+/// output-port order, then XB transfers and credits in crossbar grant
+/// order.
 pub trait StepSink {
-    /// A flit enters the link (or ejection channel) at `(port, vc)`.
-    fn launch(&mut self, port: Port, vc: usize, flit: Flit);
+    /// A flit leaves through the ejection channel on local VC `vc`.
+    fn eject(&mut self, vc: usize, flit: Flit);
+    /// XB time: the payload of a crossbar winner bound for neighbor
+    /// output `(out_port, vc)`. Never called for the local port.
+    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit);
+    /// VM time: the oldest flit transferred at `(port, vc)` enters the
+    /// link. Never called for the local port.
+    fn launch(&mut self, port: Port, vc: usize);
     /// An input-buffer slot at `(in_port, vc)` freed; credit the upstream.
     fn credit(&mut self, in_port: Port, vc: usize);
-
-    /// Whether this sink runs the zero-copy wire: crossbar winners hand
-    /// their payload to [`StepSink::transfer`] at XB time (the sink
-    /// places it in the downstream input ring), the router stages only
-    /// the flit's kind, and the eventual launch is announced through
-    /// [`StepSink::launch_reserved`] instead of [`StepSink::launch`].
-    /// Ejection-port traffic always uses the payload-carrying `launch`.
-    /// The default (buffered) protocol keeps payloads in the staging
-    /// arena and launches full flits.
-    fn direct(&self) -> bool {
-        false
-    }
-
-    /// Zero-copy wire only: a crossbar winner's payload, handed over at
-    /// XB time for placement in the downstream input ring. Never called
-    /// on sinks whose [`StepSink::direct`] is false, and never for the
-    /// local (ejection) port.
-    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
-        debug_assert!(false, "transfer on a buffered sink");
-        let _ = (out_port, vc, flit);
-    }
-
-    /// Zero-copy wire only: a previously transferred flit enters the
-    /// link at `(port, vc)`.
-    fn launch_reserved(&mut self, port: Port, vc: usize) {
-        debug_assert!(false, "launch_reserved on a buffered sink");
-        let _ = (port, vc);
-    }
-}
-
-/// Everything a router produced during one cycle, for the network layer to
-/// deliver: launched flits, credits for upstream, and a progress flag for
-/// the watchdog.
-#[derive(Debug, Default)]
-pub struct StepOutputs {
-    /// Flits entering links (or the ejection channel) this cycle.
-    pub launches: Vec<Launch>,
-    /// Input-buffer slots freed this cycle: `(input port, vc)` pairs whose
-    /// upstream neighbor should receive a credit.
-    pub credits: Vec<(Port, usize)>,
-    /// Whether any flit moved or any allocation succeeded.
-    pub moved: bool,
-}
-
-impl StepOutputs {
-    /// Empties the buffers for reuse across routers, keeping capacity.
-    pub fn clear(&mut self) {
-        self.launches.clear();
-        self.credits.clear();
-        self.moved = false;
-    }
-}
-
-impl StepSink for StepOutputs {
-    #[inline]
-    fn launch(&mut self, port: Port, vc: usize, flit: Flit) {
-        self.launches.push(Launch { port, vc, flit });
-    }
-
-    #[inline]
-    fn credit(&mut self, in_port: Port, vc: usize) {
-        self.credits.push((in_port, vc));
-    }
 }
 
 /// Aggregate router activity counters.
@@ -271,10 +212,10 @@ pub struct RouterStats {
 /// A cycle-accurate PROUD / LA-PROUD wormhole router.
 ///
 /// The router is driven by the network layer: once per cycle it calls
-/// [`Router::step`] (stages run in reverse pipeline order so a flit
+/// [`Router::step_with`] (stages run in reverse pipeline order so a flit
 /// advances one stage per cycle), then delivers link arrivals via
-/// [`Router::accept_flit`] and returned credits via
-/// [`Router::accept_credit`].
+/// [`Router::commit_flit`], injections via [`Router::accept_flit`] and
+/// returned credits via [`Router::accept_credit`].
 pub struct Router {
     // -- Walk-control state, deliberately first: everything the per-cycle
     //    control flow branches on fits in the struct's leading cache
@@ -346,7 +287,8 @@ pub struct Router {
     in_cold: Box<[ColdFlit]>,
     /// Hot halves of the output staging rings.
     out_kind: Box<[FlitKind]>,
-    /// Cold halves of the output staging rings.
+    /// Cold halves of the ejection port's staging rings — the only
+    /// staged flits whose payload stays in the router.
     out_cold: Box<[ColdFlit]>,
     selector: PathSelector,
     rng: SimRng,
@@ -403,6 +345,10 @@ impl Router {
         let in_ring = in_cap.checked_add(out_cap).expect("ring fits u16");
         let in_slots = ports * vcs * in_ring as usize;
         let out_slots = ports * vcs * out_cap as usize;
+        // Ejection staging slots index `out_cold` with the same arena
+        // index as `out_kind`, which needs the local port to be port 0.
+        const _: () = assert!(Port::LOCAL.index() == 0, "the local port must be port 0");
+        let eject_slots = vcs * out_cap as usize;
         Router {
             in_occupied: 0,
             out_occupied: 0,
@@ -437,7 +383,7 @@ impl Router {
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
-            out_cold: vec![COLD_FILLER; out_slots].into_boxed_slice(),
+            out_cold: vec![COLD_FILLER; eject_slots].into_boxed_slice(),
             selector: PathSelector::new(cfg.path_selection, ports),
             rng,
             stats: RouterStats::default(),
@@ -517,22 +463,6 @@ impl Router {
     // arena segment `idx * cap .. (idx + 1) * cap`; cursors wrap with a
     // compare instead of a modulo so the hot path never divides.
 
-    #[inline]
-    fn ibuf_push(&mut self, idx: usize, flit: Flit) {
-        let cap = self.in_ring;
-        let vc = &mut self.inputs[idx];
-        debug_assert!(vc.len < cap, "input ring overflow");
-        let mut slot = vc.head + vc.len;
-        if slot >= cap {
-            slot -= cap;
-        }
-        vc.len += 1;
-        let (kind, cold) = flit.split();
-        let slot = idx * cap as usize + slot as usize;
-        self.in_kind[slot] = kind;
-        self.in_cold[slot] = cold;
-    }
-
     /// Arena index of input ring `idx`'s front slot (requires `len > 0`).
     #[inline]
     fn ibuf_front_slot(&self, idx: usize) -> usize {
@@ -555,7 +485,7 @@ impl Router {
     }
 
     /// Pushes a kind byte onto staging ring `out_idx`, returning the
-    /// arena slot (so buffered-protocol callers can fill the cold half).
+    /// arena slot (so ejection moves can fill the cold half).
     #[inline]
     fn obuf_push_kind(&mut self, out_idx: usize, kind: FlitKind) -> usize {
         let ocap = self.out_cap;
@@ -571,12 +501,16 @@ impl Router {
         oslot
     }
 
-    /// Pops the front of input ring `in_idx` and pushes it onto staging
-    /// ring `out_idx`, copying the two SoA halves directly (the full
-    /// [`Flit`] is never reassembled mid-router). Returns the moved
-    /// flit's kind. The buffered-protocol crossbar move.
+    /// Pops the front of input ring `in_idx` and pushes it onto ejection
+    /// staging ring `out_idx`, copying the two SoA halves directly (the
+    /// full [`Flit`] is never reassembled mid-router). Returns the moved
+    /// flit's kind. The crossbar move toward the local port.
     #[inline]
     fn move_in_to_out(&mut self, in_idx: usize, out_idx: usize) -> FlitKind {
+        debug_assert!(
+            out_idx < self.vcs as usize,
+            "payload staged off the ejection port"
+        );
         let islot = self.ibuf_front_slot(in_idx);
         let kind = self.in_kind[islot];
         self.ibuf_advance(in_idx);
@@ -585,8 +519,9 @@ impl Router {
         kind
     }
 
-    /// SY stage: a flit delivered by the upstream link (or injected by the
-    /// local network interface) lands in its input VC buffer.
+    /// SY stage in one call: a flit injected by the local network
+    /// interface lands in its input VC buffer —
+    /// [`Router::reserve_flit`] followed by [`Router::commit_flit`].
     ///
     /// In LA-PROUD mode a head flit landing at the front of an idle VC is
     /// decoded immediately: its carried candidate set arms the selection
@@ -595,21 +530,16 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the buffer overflows (a flow-control violation — the
-    /// upstream router sent without credit) or, in LA-PROUD mode, if a head
-    /// arrives without look-ahead information.
+    /// sender had no credit) or, in LA-PROUD mode, if a head arrives
+    /// without look-ahead information.
     pub fn accept_flit(&mut self, port: Port, vc: usize, flit: Flit, now: Cycle) {
-        let idx = self.in_idx(port, vc);
-        assert!(
-            self.inputs[idx].len < self.in_cap,
-            "input buffer overflow at {} {port} vc{vc}: flow control violated",
-            self.node
+        debug_assert_eq!(
+            self.inputs[self.in_idx(port, vc)].pending,
+            0,
+            "accept_flit behind a pending reservation"
         );
-        self.ibuf_push(idx, flit);
-        self.in_occupied |= 1 << idx;
-        self.in_ports |= 1 << port.index();
-        if self.lookahead {
-            self.try_lookahead_promote(idx, now);
-        }
+        self.reserve_flit(port, vc, flit);
+        self.commit_flit(port, vc, now);
     }
 
     /// Writes a flit's halves into the input ring slot it will occupy on
@@ -649,8 +579,13 @@ impl Router {
     }
 
     /// Makes the oldest reserved flit at `(port, vc)` visible — the wire
-    /// delivered it — and runs the same SY-stage bookkeeping as
-    /// [`Router::accept_flit`].
+    /// delivered it — and runs the SY-stage bookkeeping (occupancy, and
+    /// the LA-PROUD decode described at [`Router::accept_flit`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the visible buffer overflows (the upstream sent without
+    /// credit).
     pub fn commit_flit(&mut self, port: Port, vc: usize, now: Cycle) {
         let idx = self.in_idx(port, vc);
         let ivc = &mut self.inputs[idx];
@@ -683,25 +618,12 @@ impl Router {
         self.credit_ok |= 1 << idx;
     }
 
-    /// Runs one cycle: VM, XB, SA, then TL, in reverse pipeline order so a
-    /// flit advances at most one stage per cycle.
-    pub fn step(&mut self, now: Cycle) -> StepOutputs {
-        let mut out = StepOutputs::default();
-        self.step_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Router::step`] writing into a reused
-    /// buffer (cleared first). Routers holding no flits return immediately.
-    pub fn step_into(&mut self, now: Cycle, out: &mut StepOutputs) {
-        out.clear();
-        out.moved = self.step_with(now, out);
-    }
-
-    /// Runs one cycle, streaming launches and credits into `sink` as the
-    /// stages produce them (see the module docs for the walk). Returns
-    /// whether any flit moved or allocation succeeded. Routers holding no
-    /// flits return immediately.
+    /// Runs one cycle — VM, XB, SA, then TL, in reverse pipeline order so
+    /// a flit advances at most one stage per cycle — streaming payloads,
+    /// launches, ejections and credits into `sink` as the stages produce
+    /// them (see the module docs for the walk). Returns whether any flit
+    /// moved or allocation succeeded. Routers holding no flits return
+    /// immediately.
     pub fn step_with<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         if self.in_occupied == 0 && self.out_occupied == 0 {
             return false;
@@ -768,9 +690,8 @@ impl Router {
         let Some(v) = granted else { return false };
         let idx = base + v;
         // Pop the staging ring's front: the kind byte always, the cold
-        // half only when this launch carries a payload (ejections and the
-        // buffered protocol) — under the zero-copy wire the payload
-        // already sits in the downstream input ring.
+        // half only for an ejection — any other payload already sits in
+        // the downstream input ring.
         let ocap = self.out_cap;
         let (slot, was_full) = {
             let ovc = &mut self.outputs[idx];
@@ -821,23 +742,23 @@ impl Router {
             }
         }
         let port = Port::from_index(p);
-        if sink.direct() && !port.is_local() {
-            sink.launch_reserved(port, v);
+        if port.is_local() {
+            sink.eject(v, Flit::assemble(kind, self.out_cold[slot]));
         } else {
-            sink.launch(port, v, Flit::assemble(kind, self.out_cold[slot]));
+            sink.launch(port, v);
         }
         true
     }
 
     /// XB: separable switch allocation. Each occupied input port proposes
     /// one of its VCs (input arbitration), then each requested output port
-    /// grants one proposing input (output arbitration); winners move one
-    /// flit into staging and free a credit.
+    /// grants one proposing input (output arbitration); winners hand their
+    /// payload to the sink (or, for the local port, to the ejection
+    /// staging ring), stage their kind and free a credit.
     fn xb_pass<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         let vcs = self.vcs as usize;
         let ports = self.ports as usize;
         let vcmask = (1u64 << vcs) - 1;
-        let direct = sink.direct();
         let mut moved = false;
         // Input arbitration: proposals are packed small-int arrays (no
         // per-call Option zeroing, no divisions downstream).
@@ -880,22 +801,23 @@ impl Router {
             let of = prop_of[ip] as usize;
             debug_assert!(prop_op[ip] as usize == op && of != u16::MAX as usize);
             let in_idx = ip * vcs + iv;
-            let kind = if direct && op != Port::LOCAL.index() {
-                // Zero-copy wire: hand the payload to the sink (it goes
-                // straight into the downstream input ring) and stage only
-                // the kind byte for the VC multiplexor.
+            let out_port = Port::from_index(op);
+            let kind = if out_port.is_local() {
+                self.move_in_to_out(in_idx, of)
+            } else {
+                // Hand the payload to the sink (it goes straight into the
+                // downstream input ring) and stage only the kind byte for
+                // the VC multiplexor.
                 let islot = self.ibuf_front_slot(in_idx);
                 let kind = self.in_kind[islot];
                 sink.transfer(
-                    Port::from_index(op),
+                    out_port,
                     of - op * vcs,
                     Flit::assemble(kind, self.in_cold[islot]),
                 );
                 self.ibuf_advance(in_idx);
                 self.obuf_push_kind(of, kind);
                 kind
-            } else {
-                self.move_in_to_out(in_idx, of)
             };
             if self.inputs[in_idx].len == 0 {
                 self.in_occupied &= !(1 << in_idx);
@@ -920,7 +842,7 @@ impl Router {
                 self.xb_ok &= !(1 << in_idx);
             }
             self.selector
-                .note_port_used(Port::from_index(op), now.as_u64(), kind.is_head());
+                .note_port_used(out_port, now.as_u64(), kind.is_head());
             self.stats.flits_switched += 1;
             self.out_occupied |= 1 << of;
             self.out_ports |= 1 << op;
@@ -1137,6 +1059,7 @@ mod tests {
     use crate::tables::{FullTable, TableScheme};
     use lapses_routing::DuatoAdaptive;
     use lapses_topology::{Direction, Mesh};
+    use std::collections::{HashMap, VecDeque};
     use std::sync::Arc;
 
     /// 1-D four-node mesh: node 1 routes +d0 toward node 3.
@@ -1178,14 +1101,52 @@ mod tests {
         flits
     }
 
+    /// A flit leaving the router: onto a link, or ejected.
+    #[derive(Debug, Clone, Copy)]
+    struct Launch {
+        port: Port,
+        vc: usize,
+        flit: Flit,
+    }
+
+    /// A test sink standing in for the wire: transferred payloads queue
+    /// per output (port, VC) and each launch pops the oldest, so every
+    /// flit leaving the router reads back whole.
+    #[derive(Default)]
+    struct WireFifo {
+        wire: HashMap<(Port, usize), VecDeque<Flit>>,
+        launches: Vec<Launch>,
+        credits: Vec<(Port, usize)>,
+    }
+
+    impl StepSink for WireFifo {
+        fn eject(&mut self, vc: usize, flit: Flit) {
+            let port = Port::LOCAL;
+            self.launches.push(Launch { port, vc, flit });
+        }
+
+        fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
+            assert!(!out_port.is_local(), "transfer toward the local port");
+            self.wire.entry((out_port, vc)).or_default().push_back(flit);
+        }
+
+        fn launch(&mut self, port: Port, vc: usize) {
+            let flit = self.wire.get_mut(&(port, vc)).and_then(VecDeque::pop_front);
+            let flit = flit.expect("launch without a transferred payload");
+            self.launches.push(Launch { port, vc, flit });
+        }
+
+        fn credit(&mut self, in_port: Port, vc: usize) {
+            self.credits.push((in_port, vc));
+        }
+    }
+
     /// Runs cycles `from..=to`, returning every launch with its cycle.
-    fn run(router: &mut Router, from: u64, to: u64) -> Vec<(u64, Launch)> {
+    fn run(router: &mut Router, wire: &mut WireFifo, from: u64, to: u64) -> Vec<(u64, Launch)> {
         let mut all = Vec::new();
         for t in from..=to {
-            let out = router.step(Cycle::new(t));
-            for l in out.launches {
-                all.push((t, l));
-            }
+            router.step_with(Cycle::new(t), wire);
+            all.extend(wire.launches.drain(..).map(|l| (t, l)));
         }
         all
     }
@@ -1196,7 +1157,8 @@ mod tests {
         let flits = message(3, 1);
         // SY at cycle 0.
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 1);
         let (t, l) = &launches[0];
         // TL=1, SA=2, XB=3, VM=4.
@@ -1209,7 +1171,8 @@ mod tests {
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
         let flits = with_lookahead(message(3, 1), &r);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 1);
         // SA=1, XB=2, VM=3.
         assert_eq!(launches[0].0, 3, "LA-PROUD header must launch at cycle 3");
@@ -1222,7 +1185,8 @@ mod tests {
         for (i, f) in flits.iter().enumerate() {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::new(i as u64));
         }
-        let launches = run(&mut r, 1, 12);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 12);
         let times: Vec<u64> = launches.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![4, 5, 6, 7]);
         let seqs: Vec<u32> = launches.iter().map(|(_, l)| l.flit.seq).collect();
@@ -1236,7 +1200,8 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 2);
         // After the tail leaves, every output VC is free again.
         let px = Port::from(Direction::plus(0));
@@ -1259,12 +1224,13 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 1, "only one credit, only one launch");
         // Returning a credit releases the next flit.
         let vc = launches[0].1.vc;
         r.accept_credit(px, vc);
-        let more = run(&mut r, 11, 13);
+        let more = run(&mut r, &mut wire, 11, 13);
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].1.flit.seq, 1);
     }
@@ -1286,7 +1252,8 @@ mod tests {
         for f in &m2 {
             r.accept_flit(Port::LOCAL, 1, *f, Cycle::ZERO);
         }
-        let _ = run(&mut r, 1, 6);
+        let mut wire = WireFifo::default();
+        let _ = run(&mut r, &mut wire, 1, 6);
         let s = r.stats();
         assert_eq!(s.adaptive_allocations, 1);
         assert_eq!(s.escape_allocations, 1);
@@ -1314,7 +1281,8 @@ mod tests {
         for f in m1.iter().chain(&m2) {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 20);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 20);
         assert_eq!(launches.len(), 4);
         // Second header allocates only after the first tail freed the VC.
         assert!(r.stats().selection_stall_cycles > 0 || launches[2].0 > launches[1].0);
@@ -1330,7 +1298,8 @@ mod tests {
         for f in &flits {
             r.accept_flit(minus, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 2);
         assert!(launches.iter().all(|(_, l)| l.port.is_local()));
     }
@@ -1340,7 +1309,8 @@ mod tests {
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
         let flits = with_lookahead(message(3, 1), &r);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 6);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 6);
         let out = &launches[0].1.flit;
         // The launched header carries node 2's entry for destination 3.
         let carried = out.lookahead.expect("LA header keeps look-ahead info");
@@ -1354,7 +1324,8 @@ mod tests {
         let mut r = line_router(RouterConfig::paper_adaptive());
         let flits = message(3, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 6);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 6);
         assert!(launches[0].1.flit.lookahead.is_none());
     }
 
@@ -1365,10 +1336,11 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let mut credited = 0;
+        let mut wire = WireFifo::default();
         for t in 1..=8 {
-            credited += r.step(Cycle::new(t)).credits.len();
+            r.step_with(Cycle::new(t), &mut wire);
         }
+        let credited = wire.credits.len();
         assert_eq!(credited, 2, "each buffered flit frees one slot");
     }
 
@@ -1395,7 +1367,8 @@ mod tests {
             for f in m1.iter().chain(&m2) {
                 r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
             }
-            let launches = run(&mut r, 1, 24);
+            let mut wire = WireFifo::default();
+            let launches = run(&mut r, &mut wire, 1, 24);
             assert_eq!(launches.len(), 4);
             launches[2].0 - launches[1].0
         };
@@ -1444,7 +1417,8 @@ mod tests {
         let dest = mesh.id_at(&[3, 3]).unwrap();
         let flits = Flit::message(MessageId(9), MsgRef(0), dest, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 6);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 6);
         assert_eq!(launches.len(), 1);
         assert_eq!(r.stats().multi_candidate_decisions, 1);
         assert!(!launches[0].1.port.is_local());
@@ -1457,7 +1431,8 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         let kinds: Vec<FlitKind> = launches.iter().map(|(_, l)| l.flit.kind).collect();
         assert_eq!(kinds, vec![FlitKind::Head, FlitKind::Body, FlitKind::Tail]);
     }
@@ -1468,7 +1443,8 @@ mod tests {
         let mut r = line_router(RouterConfig::paper_adaptive().with_table_lookup_cycles(2));
         let flits = message(3, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 1);
         // Baseline PROUD launches at 4; with k=2 at 5.
         assert_eq!(launches[0].0, 5);
@@ -1486,7 +1462,8 @@ mod tests {
         );
         let flits = with_lookahead(message(3, 1), &r);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 10);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 10);
         assert_eq!(launches.len(), 1);
         assert_eq!(launches[0].0, 4);
     }
@@ -1500,7 +1477,8 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 8);
+        let mut wire = WireFifo::default();
+        let launches = run(&mut r, &mut wire, 1, 8);
         assert_eq!(launches.len(), 2);
         assert!(launches[0].1.flit.lookahead.is_some(), "head keeps entry");
         assert!(launches[1].1.flit.lookahead.is_none(), "tail carries none");

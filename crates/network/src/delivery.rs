@@ -187,13 +187,6 @@ impl DeliveryQueues {
         self.credits[slot].push(delivery);
     }
 
-    /// Removes and returns the credits arriving at `now`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn take_credits(&mut self, now: Cycle) -> Vec<CreditDelivery> {
-        let slot = self.credit_slot_at(now.as_u64());
-        std::mem::take(&mut self.credits[slot])
-    }
-
     /// Swaps the bucket of credits arriving at `now` with `buf` (must be
     /// empty), mirroring [`DeliveryQueues::swap_events`].
     pub fn swap_credits(&mut self, now: Cycle, buf: &mut Vec<CreditDelivery>) {
@@ -216,6 +209,13 @@ mod tests {
     fn take_events(q: &mut DeliveryQueues, now: u64) -> Vec<ArrivalEvent> {
         let mut buf = Vec::new();
         q.swap_events(Cycle::new(now), &mut buf);
+        buf
+    }
+
+    /// Removes and returns the credits arriving at `now`.
+    fn take_credits(q: &mut DeliveryQueues, now: u64) -> Vec<CreditDelivery> {
+        let mut buf = Vec::new();
+        q.swap_credits(Cycle::new(now), &mut buf);
         buf
     }
 
@@ -251,8 +251,8 @@ mod tests {
         q.swap_ejects(Cycle::new(13), &mut ejects);
         assert_eq!(ejects.len(), 1);
         assert_eq!(q.in_flight(), 0);
-        assert!(q.take_credits(Cycle::new(11)).is_empty());
-        assert_eq!(q.take_credits(Cycle::new(12)).len(), 1);
+        assert!(take_credits(&mut q, 11).is_empty());
+        assert_eq!(take_credits(&mut q, 12).len(), 1);
     }
 
     #[test]

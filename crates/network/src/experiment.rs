@@ -10,6 +10,7 @@
 //! the paper's "Sat.").
 
 use crate::network::Network;
+use crate::scenario::ScenarioError;
 use crate::stats::SimResult;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable};
 use lapses_core::{RouterConfig, TableScheme};
@@ -107,6 +108,49 @@ impl Algorithm {
     /// family). Every other algorithm requires a perfect topology.
     pub fn fault_tolerant(self) -> bool {
         matches!(self, Algorithm::UpDown | Algorithm::UpDownAdaptive)
+    }
+
+    /// Escape subclasses the relation needs on `mesh` — what
+    /// [`RoutingAlgorithm::escape_subclasses`] answers once compiled,
+    /// known from the variant alone: a dimension-order escape needs two
+    /// dateline classes on a torus, up*/down* needs one anywhere.
+    pub(crate) fn escape_subclasses(self, mesh: &Mesh) -> usize {
+        if mesh.is_torus() && !self.fault_tolerant() {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Whether the relation is deadlock-free without escape VCs — what
+    /// [`RoutingAlgorithm::deadlock_free_without_escape`] answers once
+    /// compiled. Only the fully adaptive relations need an escape.
+    pub(crate) fn deadlock_free_without_escape(self) -> bool {
+        !matches!(self, Algorithm::Duato | Algorithm::UpDownAdaptive)
+    }
+}
+
+/// The escape subclasses a router with `escape_vcs` escape VCs runs under
+/// `algorithm` on `mesh`, or why its escape VCs fall short. A router that
+/// has escape VCs must cover every subclass, even under a relation that
+/// is deadlock-free without them; one that has none runs a single
+/// (unused) subclass. Scenario validation and the run loop both ask here.
+pub(crate) fn router_escape_subclasses(
+    algorithm: Algorithm,
+    mesh: &Mesh,
+    escape_vcs: usize,
+) -> Result<usize, ScenarioError> {
+    let needed = algorithm.escape_subclasses(mesh);
+    if escape_vcs == 0 && algorithm.deadlock_free_without_escape() {
+        Ok(1)
+    } else if escape_vcs < needed {
+        Err(ScenarioError::EscapeVcs {
+            algorithm,
+            needed,
+            have: escape_vcs,
+        })
+    } else {
+        Ok(needed)
     }
 }
 
@@ -493,11 +537,11 @@ impl SimConfig {
         }
     }
 
-    /// Resolves the routing relation and table program, compiling faults
-    /// down to table contents. A classic algorithm over an empty fault set
-    /// takes the fault-free classic path — same calls, same bytes — so runs
-    /// configured before faults existed stay bit-identical, and scenario
-    /// validation checks the same split.
+    /// Compiles the routing relation into its table program, compiling
+    /// faults down to table contents. A classic algorithm over an empty
+    /// fault set takes the fault-free classic path — same calls, same
+    /// bytes — so runs configured before faults existed stay
+    /// bit-identical, and scenario validation checks the same split.
     ///
     /// # Panics
     ///
@@ -505,15 +549,15 @@ impl SimConfig {
     /// combined with a non-fault-tolerant algorithm, or on faults with a
     /// meta-table scheme. The [`Scenario`](crate::scenario::Scenario)
     /// builder reports all of these as typed errors instead.
-    fn build_routing(&self) -> (Box<dyn RoutingAlgorithm>, Arc<dyn TableScheme>) {
+    fn build_program(&self) -> Arc<dyn TableScheme> {
         let faults = self
             .faults
             .resolve(&self.mesh)
             .unwrap_or_else(|e| panic!("invalid fault configuration: {e}"));
         if faults.is_empty() && !self.algorithm.fault_tolerant() {
-            let algo = self.algorithm.build();
-            let program = self.table.build(&self.mesh, algo.as_ref());
-            return (algo, program);
+            return self
+                .table
+                .build(&self.mesh, self.algorithm.build().as_ref());
         }
         assert!(
             faults.is_empty() || self.algorithm.fault_tolerant(),
@@ -525,8 +569,7 @@ impl SimConfig {
                 .unwrap_or_else(|e| panic!("invalid fault configuration: {e}")),
         );
         let algo = self.algorithm.build_on(&fmesh);
-        let program = self.table.build_faulty(&fmesh, algo.as_ref());
-        (algo, program)
+        self.table.build_faulty(&fmesh, algo.as_ref())
     }
 
     /// Runs the simulation point to completion (or saturation cut-off).
@@ -556,19 +599,11 @@ impl SimConfig {
     }
 
     fn run_impl(&self, mut capture: Option<&mut Vec<TraceEvent>>) -> SimResult {
-        let (algo, program) = self.build_routing();
+        let program = self.build_program();
         let mut router_cfg = self.router.clone();
-        router_cfg.escape_subclasses = algo.escape_subclasses(&self.mesh).max(1);
-        if !algo.deadlock_free_without_escape() {
-            assert!(
-                router_cfg.escape_vcs >= router_cfg.escape_subclasses,
-                "{:?} routing needs at least {} escape VC(s) for deadlock freedom",
-                self.algorithm,
-                router_cfg.escape_subclasses
-            );
-        } else if router_cfg.escape_vcs == 0 {
-            router_cfg.escape_subclasses = 1;
-        }
+        router_cfg.escape_subclasses =
+            router_escape_subclasses(self.algorithm, &self.mesh, router_cfg.escape_vcs)
+                .unwrap_or_else(|e| panic!("{e}"));
 
         let mut net = Network::new(
             self.mesh.clone(),
@@ -725,6 +760,35 @@ mod tests {
 
     fn run(builder: ScenarioBuilder) -> SimResult {
         builder.build().expect("valid scenario").run()
+    }
+
+    #[test]
+    fn escape_answers_match_the_compiled_relations() {
+        use lapses_topology::FaultSet;
+        for mesh in [Mesh::mesh_2d(4, 4), Mesh::torus_2d(4, 4)] {
+            let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
+            for algorithm in [
+                Algorithm::DimensionOrder,
+                Algorithm::Duato,
+                Algorithm::NorthLast,
+                Algorithm::WestFirst,
+                Algorithm::NegativeFirst,
+                Algorithm::UpDown,
+                Algorithm::UpDownAdaptive,
+            ] {
+                let compiled = algorithm.build_on(&fmesh);
+                assert_eq!(
+                    algorithm.escape_subclasses(&mesh),
+                    compiled.escape_subclasses(&mesh),
+                    "{algorithm:?} on {mesh}"
+                );
+                assert_eq!(
+                    algorithm.deadlock_free_without_escape(),
+                    compiled.deadlock_free_without_escape(),
+                    "{algorithm:?} on {mesh}"
+                );
+            }
+        }
     }
 
     #[test]

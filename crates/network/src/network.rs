@@ -36,18 +36,21 @@
 //!
 //! # The zero-copy wire and batched delivery
 //!
-//! A crossbar winner bound for a neighbor router writes the flit's
-//! payload **directly into the input-arena slot it will occupy on
-//! arrival** (`Router::reserve_flit` — the slot is computable at that
-//! point and stable until then); when the VC multiplexor later launches
-//! it, only a packed 4-byte [`crate::delivery::ArrivalEvent`] rides the
-//! delay ring. When the link delay elapses, the cycle loop chains that
-//! cycle's events by destination router and commits them router by
-//! router (`Router::commit_flit` flips the flit visible): each receiving
-//! router's state is touched once per cycle instead of once per flit, and
-//! its wake-up bit is set once per batch. Credits ride the same packed
-//! 4-byte address; ejections ship an 8-byte record (message handle +
-//! kind — all the statistics need).
+//! The router's only output protocol is the zero-copy wire
+//! (`lapses_core::StepSink`), and `WireSink` is the network's side of
+//! it. A crossbar winner bound for a neighbor router hands over its
+//! payload at XB time (`transfer`), and the sink writes it **directly
+//! into the input-arena slot it will occupy on arrival**
+//! (`Router::reserve_flit` — the slot is computable at that point and
+//! stable until then). When the VC multiplexor later launches the flit
+//! (`launch`), only a packed 4-byte [`crate::delivery::ArrivalEvent`]
+//! rides the delay ring. When the link delay elapses, the cycle loop
+//! chains that cycle's events by destination router and commits them
+//! router by router (`Router::commit_flit` flips the flit visible): each
+//! receiving router's state is touched once per cycle instead of once per
+//! flit, and its wake-up bit is set once per batch. Credits ride the same
+//! packed 4-byte address; ejections (`eject`) ship an 8-byte record
+//! (message handle + kind — all the statistics need).
 //!
 //! Two facts keep this exact. A reserved payload is invisible to its
 //! router until the commit — no stage reads past a ring's visible length
@@ -152,7 +155,7 @@ struct WireSink<'a> {
     node: usize,
     ports: usize,
     /// The routers before / after the one being stepped (disjoint
-    /// borrows), so a launch can reserve the downstream input slot.
+    /// borrows), so a transfer can reserve the downstream input slot.
     left: &'a mut [Router],
     right: &'a mut [Router],
     queues: &'a mut DeliveryQueues,
@@ -164,12 +167,9 @@ struct WireSink<'a> {
 
 impl StepSink for WireSink<'_> {
     #[inline]
-    fn launch(&mut self, port: Port, _vc: usize, flit: Flit) {
-        // Only the ejection channel launches a payload (neighbor traffic
-        // moved its payload at XB time and launches via
-        // `launch_reserved`). The NIC sink only samples statistics, so
-        // the message handle + kind is all that rides the ring.
-        debug_assert!(port.is_local(), "payload launch toward a neighbor");
+    fn eject(&mut self, _vc: usize, flit: Flit) {
+        // The NIC sink only samples statistics, so the message handle +
+        // kind is all that rides the ring.
         *self.router_flits -= 1;
         self.queues.send_eject(
             self.now,
@@ -181,14 +181,9 @@ impl StepSink for WireSink<'_> {
     }
 
     #[inline]
-    fn direct(&self) -> bool {
-        true
-    }
-
-    #[inline]
     fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
-        // Zero-copy wire, XB time: the payload goes straight to the input
-        // ring slot it will occupy at the downstream router.
+        // XB time: the payload goes straight to the input ring slot it
+        // will occupy at the downstream router.
         let neighbor = self.neighbors[self.node * self.ports + out_port.index()];
         debug_assert_ne!(neighbor, u32::MAX, "transfer over a missing link");
         let dir = out_port.direction().expect("transfer is never local");
@@ -202,13 +197,13 @@ impl StepSink for WireSink<'_> {
     }
 
     #[inline]
-    fn launch_reserved(&mut self, port: Port, vc: usize) {
-        // Zero-copy wire, VM time: the payload is already downstream;
-        // only a packed 4-byte arrival event rides the delay ring.
+    fn launch(&mut self, port: Port, vc: usize) {
+        // VM time: the payload is already downstream; only a packed
+        // 4-byte arrival event rides the delay ring.
         *self.router_flits -= 1;
         let neighbor = self.neighbors[self.node * self.ports + port.index()];
         debug_assert_ne!(neighbor, u32::MAX, "launch over a missing link");
-        let dir = port.direction().expect("reserved launches are never local");
+        let dir = port.direction().expect("launch is never local");
         self.queues.send_event(
             self.now,
             ArrivalEvent::new(NodeId(neighbor), Port::from(dir.opposite()), vc as u8),

@@ -28,7 +28,8 @@
 //! ```
 
 use crate::experiment::{
-    Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
+    router_escape_subclasses, Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind,
+    WorkloadKind,
 };
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
@@ -40,6 +41,20 @@ use lapses_traffic::PatternError;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
 use std::fmt;
 use std::sync::Arc;
+
+/// The smallest arrival gap, in cycles, that validation admits: the mean
+/// gap a synthetic or bursty load implies, and a bursty source's peak gap.
+///
+/// A source polled at a cycle drains every arrival due by then, one loop
+/// pass and one message per arrival, so a gap of `g` cycles offers `1 / g`
+/// messages per node per cycle. At 1/16 that is 16 messages per node in
+/// one cycle — the backlog at which a run is declared saturated — so any
+/// smaller gap saturates from its first cycles and only multiplies the
+/// work of reaching that verdict. Far below it the polls never return:
+/// the arrival timeline is an `f64`, and once the gap drops under its
+/// rounding step (about 1e-9 cycles at ten million cycles) adding the gap
+/// no longer moves the timeline forward.
+pub const MIN_ARRIVAL_GAP: f64 = 1.0 / 16.0;
 
 /// Why a scenario failed to validate.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,6 +108,12 @@ pub enum ScenarioError {
     BernoulliGap {
         /// The implied mean gap.
         mean_gap: f64,
+    },
+    /// A mean gap implied by the load, or a bursty peak gap, is below
+    /// [`MIN_ARRIVAL_GAP`].
+    ArrivalGap {
+        /// The offending gap, in cycles.
+        gap: f64,
     },
     /// The trace was recorded for a different node count.
     TraceNodeCount {
@@ -205,6 +226,10 @@ impl fmt::Display for ScenarioError {
                 f,
                 "Bernoulli arrivals need a mean gap of at least 1 cycle, load implies {mean_gap:.3}"
             ),
+            ScenarioError::ArrivalGap { gap } => write!(
+                f,
+                "arrival gap of {gap:e} cycles is below the floor of {MIN_ARRIVAL_GAP} cycles"
+            ),
             ScenarioError::TraceNodeCount {
                 trace_nodes,
                 mesh_nodes,
@@ -284,6 +309,7 @@ impl Scenario {
                 active_scheduling: true,
                 batched_delivery: true,
             },
+            shape_error: None,
         }
     }
 
@@ -316,6 +342,7 @@ impl Scenario {
     pub fn to_builder(&self) -> ScenarioBuilder {
         ScenarioBuilder {
             config: self.config.clone(),
+            shape_error: None,
         }
     }
 }
@@ -325,20 +352,37 @@ impl Scenario {
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     config: SimConfig,
+    /// Why the last topology setter's shape was invalid, if it was.
+    shape_error: Option<ShapeError>,
 }
 
 impl ScenarioBuilder {
     // --- topology ---
 
-    /// Sets the topology to a `width × height` mesh.
+    /// Sets the topology to a `width × height` mesh. A zero extent makes
+    /// [`ScenarioBuilder::build`] return [`ScenarioError::Topology`].
     pub fn mesh_2d(self, width: u16, height: u16) -> Self {
-        self.topology(Mesh::mesh_2d(width, height))
+        self.shape(&[width, height], false)
     }
 
     /// Sets the topology to a `width × height` torus (wrap links; Duato
-    /// escape needs two dateline subclasses per dimension crossing).
+    /// escape needs two dateline subclasses per dimension crossing). An
+    /// extent below 3 makes [`ScenarioBuilder::build`] return
+    /// [`ScenarioError::Topology`].
     pub fn torus_2d(self, width: u16, height: u16) -> Self {
-        self.topology(Mesh::torus_2d(width, height))
+        self.shape(&[width, height], true)
+    }
+
+    /// Sets a mesh or torus of the given shape, or records why the shape
+    /// is invalid for `build` to report.
+    fn shape(mut self, shape: &[u16], torus: bool) -> Self {
+        match Mesh::try_new(shape, torus) {
+            Ok(mesh) => self.topology(mesh),
+            Err(e) => {
+                self.shape_error = Some(e);
+                self
+            }
+        }
     }
 
     /// Sets an arbitrary topology (any dimensionality, mesh or torus).
@@ -346,6 +390,7 @@ impl ScenarioBuilder {
     pub fn topology(mut self, mesh: Mesh) -> Self {
         self.config.backlog_limit = backlog_limit(&mesh);
         self.config.mesh = mesh;
+        self.shape_error = None;
         self
     }
 
@@ -492,17 +537,22 @@ impl ScenarioBuilder {
 
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
-    /// Checks, in order: load sanity, measurement window, the synthetic
-    /// sources' message lengths and pattern (which must fit the topology
-    /// and inject from some node), VC counts and the router's (port, VC)
-    /// slot budget, algorithm/topology compatibility, faults, the table
-    /// scheme against the topology, escape-VC sufficiency for deadlock
-    /// freedom, and workload-specific consistency (Bernoulli gap ≥ 1
-    /// cycle, bursty OFF-silence positivity, trace node count).
+    /// Checks, in order: the topology shape, load sanity, measurement
+    /// window, the synthetic sources' message lengths and pattern (which
+    /// must fit the topology and inject from some node), VC counts and the
+    /// router's (port, VC) slot budget, algorithm/topology compatibility,
+    /// faults, the table scheme against the topology, escape-VC
+    /// sufficiency for deadlock freedom, and workload-specific
+    /// consistency (Bernoulli gap ≥ 1 cycle, bursty OFF-silence
+    /// positivity, arrival gaps of at least [`MIN_ARRIVAL_GAP`], trace
+    /// node count).
     /// For trace workloads the measured-injection count is clamped to the
     /// events the trace actually holds, so a trace run ends exactly when
     /// the replay drains.
     pub fn build(self) -> Result<Scenario, ScenarioError> {
+        if let Some(e) = self.shape_error {
+            return Err(ScenarioError::Topology(e));
+        }
         let mut config = self.config;
 
         if !(config.load > 0.0 && config.load.is_finite()) {
@@ -547,11 +597,10 @@ impl ScenarioBuilder {
             });
         }
 
-        // Faults resolve and validate before the algorithm builds: every
-        // fault problem is a typed error, and constructing the faulty-mesh
-        // view (needed to compile up*/down*) proves connectivity. Only the
-        // up*/down* family routes around dead links, and the meta-tables
-        // have no irregular-topology programming.
+        // Every fault problem is a typed error, and constructing the
+        // faulty-mesh view proves connectivity. Only the up*/down* family
+        // routes around dead links, and the meta-tables have no
+        // irregular-topology programming.
         let faults = config
             .faults
             .resolve(&config.mesh)
@@ -568,10 +617,8 @@ impl ScenarioBuilder {
                 table: config.table.name(),
             });
         }
-        let algo = if config.algorithm.fault_tolerant() {
-            let fmesh =
-                FaultyMesh::new(config.mesh.clone(), faults).map_err(ScenarioError::Faults)?;
-            config.algorithm.build_on(&Arc::new(fmesh))
+        if config.algorithm.fault_tolerant() {
+            FaultyMesh::new(config.mesh.clone(), faults).map_err(ScenarioError::Faults)?;
         } else {
             config
                 .table
@@ -580,25 +627,18 @@ impl ScenarioBuilder {
                     table: config.table.name(),
                     reason,
                 })?;
-            config.algorithm.build()
-        };
-        // On a torus, dimension-order escapes need one VC per dateline
-        // subclass; up*/down* ignores wrap state and needs just one. A
-        // router that has escape VCs must cover every subclass even when
-        // the algorithm is deadlock-free without them.
-        let needed = algo.escape_subclasses(&config.mesh).max(1);
-        if (!algo.deadlock_free_without_escape() || router.escape_vcs > 0)
-            && router.escape_vcs < needed
-        {
-            return Err(ScenarioError::EscapeVcs {
-                algorithm: config.algorithm,
-                needed,
-                have: router.escape_vcs,
-            });
         }
+        router_escape_subclasses(config.algorithm, &config.mesh, router.escape_vcs)?;
 
         let mean_gap =
             |c: &SimConfig| Generator::mean_gap_for_load(&c.mesh, c.load, c.lengths.mean());
+        let floor = |gap: f64| {
+            if gap < MIN_ARRIVAL_GAP {
+                Err(ScenarioError::ArrivalGap { gap })
+            } else {
+                Ok(())
+            }
+        };
         match &config.workload {
             WorkloadKind::Synthetic {
                 arrivals: ArrivalKind::Bernoulli,
@@ -607,7 +647,7 @@ impl ScenarioBuilder {
                     mean_gap: mean_gap(&config),
                 });
             }
-            WorkloadKind::Synthetic { .. } => {}
+            WorkloadKind::Synthetic { .. } => floor(mean_gap(&config))?,
             WorkloadKind::Bursty {
                 burst_len,
                 peak_gap,
@@ -620,6 +660,7 @@ impl ScenarioBuilder {
                         mean_gap,
                     });
                 }
+                floor(peak_gap.min(mean_gap))?;
             }
             WorkloadKind::Trace(trace) => {
                 if trace.node_count() as usize != config.mesh.node_count() {
@@ -672,6 +713,21 @@ mod tests {
         assert_eq!(s.config().router, RouterConfig::paper_adaptive());
         assert_eq!(s.config().seed, 20260611);
         assert_eq!(s.config().load, 0.2);
+    }
+
+    #[test]
+    fn a_zero_mesh_extent_is_a_typed_error() {
+        let err = Scenario::builder().mesh_2d(0, 4).build().unwrap_err();
+        assert_eq!(err, ScenarioError::Topology(ShapeError::ZeroExtent));
+        // A later valid topology replaces the invalid one.
+        assert!(small().mesh_2d(0, 4).mesh_2d(4, 4).build().is_ok());
+    }
+
+    #[test]
+    fn a_two_wide_torus_is_a_typed_error() {
+        let err = Scenario::builder().torus_2d(2, 2).build().unwrap_err();
+        assert_eq!(err, ScenarioError::Topology(ShapeError::TorusExtent(2)));
+        assert!(err.to_string().contains("invalid topology"), "{err}");
     }
 
     #[test]
@@ -773,6 +829,23 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ScenarioError::BernoulliGap { .. }));
+    }
+
+    #[test]
+    fn absurd_loads_and_peak_gaps_are_typed_errors() {
+        let gap_error = |b: ScenarioBuilder| match b.build() {
+            Err(ScenarioError::ArrivalGap { gap }) => assert!(gap < MIN_ARRIVAL_GAP),
+            other => panic!("expected an arrival-gap error, got {other:?}"),
+        };
+        gap_error(small().load(1e300));
+        gap_error(small().load(1e30));
+        gap_error(small().load(1e30).arrivals(ArrivalKind::Periodic));
+        gap_error(small().bursty(4, 1e-300));
+        gap_error(small().bursty(1, 2.0).load(1e30));
+        // The floor sits far past saturation: load 3 on 4x4 is a 6.7-cycle
+        // gap, a 16x16 load of 30 still 2.7 cycles.
+        assert!(small().load(3.0).build().is_ok());
+        assert!(Scenario::builder().load(30.0).build().is_ok());
     }
 
     #[test]

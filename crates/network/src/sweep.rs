@@ -54,7 +54,6 @@ use crate::experiment::{Algorithm, FaultsConfig, SimConfig, WorkloadKind};
 use crate::report::SweepReport;
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
 use crate::stats::SimResult;
-use lapses_topology::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -125,34 +124,35 @@ impl ScenarioAxis {
         // Trace replay carries its own timing and node count: a load or
         // extent sweep over it would re-run the identical replay.
         let trace = matches!(config.workload, WorkloadKind::Trace(_));
-        let points: Vec<(f64, Result<ScenarioBuilder, ScenarioError>)> = match self {
+        let points: Vec<(f64, ScenarioBuilder)> = match self {
             ScenarioAxis::Load(_) | ScenarioAxis::MeshExtent(_) if trace => return Err(mismatch()),
             ScenarioAxis::Load(loads) => loads
                 .iter()
-                .map(|&load| (load, Ok(base.to_builder().load(load))))
+                .map(|&load| (load, base.to_builder().load(load)))
                 .collect(),
             ScenarioAxis::BurstLen(lens) => {
                 let WorkloadKind::Bursty { peak_gap, .. } = config.workload else {
                     return Err(mismatch());
                 };
                 lens.iter()
-                    .map(|&len| (len as f64, Ok(base.to_builder().bursty(len, peak_gap))))
+                    .map(|&len| (len as f64, base.to_builder().bursty(len, peak_gap)))
                     .collect()
             }
             ScenarioAxis::MeshExtent(extents) => extents
                 .iter()
                 .map(|&(w, h)| {
-                    let mesh = Mesh::try_new(&[w, h], config.mesh.is_torus());
-                    let builder = mesh.map(|mesh| base.to_builder().topology(mesh));
-                    (
-                        (w as usize * h as usize) as f64,
-                        builder.map_err(ScenarioError::Topology),
-                    )
+                    let builder = base.to_builder();
+                    let builder = if config.mesh.is_torus() {
+                        builder.torus_2d(w, h)
+                    } else {
+                        builder.mesh_2d(w, h)
+                    };
+                    ((w as usize * h as usize) as f64, builder)
                 })
                 .collect(),
             ScenarioAxis::Algorithm(algos) => algos
                 .iter()
-                .map(|&a| (config.load, Ok(base.to_builder().algorithm(a))))
+                .map(|&a| (config.load, base.to_builder().algorithm(a)))
                 .collect(),
             ScenarioAxis::FaultCount(counts) => {
                 let FaultsConfig::Random { seed, .. } = config.faults else {
@@ -160,12 +160,7 @@ impl ScenarioAxis {
                 };
                 counts
                     .iter()
-                    .map(|&count| {
-                        (
-                            count as f64,
-                            Ok(base.to_builder().random_faults(count, seed)),
-                        )
-                    })
+                    .map(|&count| (count as f64, base.to_builder().random_faults(count, seed)))
                     .collect()
             }
         };
@@ -175,7 +170,7 @@ impl ScenarioAxis {
         }
         points
             .into_iter()
-            .map(|(x, builder)| Ok((x, builder?.build()?)))
+            .map(|(x, builder)| Ok((x, builder.build()?)))
             .collect()
     }
 }

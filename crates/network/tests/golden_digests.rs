@@ -15,7 +15,8 @@
 //!   `backlog()`; at the end the router counters, every link load and
 //!   the latency mean and count;
 //! * **router digest** — the per-cycle launch and credit sequence of one
-//!   [`Router`] stepped in isolation;
+//!   [`Router`] stepped in isolation, launches read back as whole flits
+//!   through a FIFO test sink;
 //! * **table-program digest** — one faulty-network set-up stage, folded
 //!   over every node pair: the faulty hop distances, the up*/down* ranks
 //!   and escape ports, or one table program's entries and storage. Run
@@ -38,7 +39,8 @@
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable};
 use lapses_core::{
-    Flit, FlitKind, MessageId, MsgRef, RouteEntry, Router, RouterConfig, RouterTable, TableScheme,
+    Flit, FlitKind, MessageId, MsgRef, RouteEntry, Router, RouterConfig, RouterTable, StepSink,
+    TableScheme,
 };
 use lapses_network::{
     Algorithm, ArrivalKind, Network, Pattern, Scenario, ScenarioAxis, ScenarioBuilder, SimResult,
@@ -48,6 +50,7 @@ use lapses_routing::{DuatoAdaptive, RoutingAlgorithm, UpDown};
 use lapses_sim::rng::mix64;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{FaultSet, FaultyMesh, Mesh, NodeId, Port};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// An order-sensitive 64-bit fold.
@@ -586,6 +589,36 @@ fn stepped_contended_network_matches_golden_step_digests() {
     );
 }
 
+/// A router sink standing in for the wire: transferred payloads queue per
+/// output (port, VC) and each launch pops the oldest, so launches and
+/// ejections read back as whole flits, in the order the router emits them.
+#[derive(Default)]
+struct WireFifo {
+    wire: HashMap<(Port, usize), VecDeque<Flit>>,
+    launches: Vec<(Port, usize, Flit)>,
+    credits: Vec<(Port, usize)>,
+}
+
+impl StepSink for WireFifo {
+    fn eject(&mut self, vc: usize, flit: Flit) {
+        self.launches.push((Port::LOCAL, vc, flit));
+    }
+
+    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
+        self.wire.entry((out_port, vc)).or_default().push_back(flit);
+    }
+
+    fn launch(&mut self, port: Port, vc: usize) {
+        let flit = self.wire.get_mut(&(port, vc)).and_then(VecDeque::pop_front);
+        let flit = flit.expect("launch without a transferred payload");
+        self.launches.push((port, vc, flit));
+    }
+
+    fn credit(&mut self, in_port: Port, vc: usize) {
+        self.credits.push((in_port, vc));
+    }
+}
+
 /// One router of a 1-D four-node mesh (node 1, routing toward node 3)
 /// with full downstream credits, fed four messages over three input VCs
 /// and stepped in isolation for 40 cycles.
@@ -623,21 +656,26 @@ fn router_digest(lookahead: bool) -> u64 {
         }
     }
     let mut d = Digest::new();
+    let mut sink = WireFifo::default();
     for t in 1..=40u64 {
-        let out = r.step(Cycle::new(t));
+        let moved = r.step_with(Cycle::new(t), &mut sink);
         d.u64(t);
-        d.u64(out.moved as u64);
-        for l in &out.launches {
-            d.u64(l.port.index() as u64);
-            d.u64(l.vc as u64);
-            d.flit(&l.flit);
-        }
-        for (port, vc) in &out.credits {
+        d.u64(moved as u64);
+        for (port, vc, flit) in sink.launches.drain(..) {
             d.u64(port.index() as u64);
-            d.u64(*vc as u64);
+            d.u64(vc as u64);
+            d.flit(&flit);
+        }
+        for (port, vc) in sink.credits.drain(..) {
+            d.u64(port.index() as u64);
+            d.u64(vc as u64);
         }
     }
     assert!(r.is_empty(), "all traffic must drain");
+    assert!(
+        sink.wire.values().all(VecDeque::is_empty),
+        "wire must drain"
+    );
     let s = r.stats();
     assert!(s.flits_switched > 0, "trace must not be vacuous");
     for v in [

@@ -142,8 +142,9 @@
 //! [`network::network`]). Flits themselves are 32-byte `Copy` PODs — the
 //! per-message bookkeeping (source, timestamps, measurement flag) lives
 //! in a slab of per-message records, so buffer moves are single small
-//! memcpys — and launches stream from the router pipeline straight onto
-//! the wires through [`core::StepSink`] with no intermediate staging.
+//! memcpys — and a crossbar winner's payload moves straight into the
+//! downstream router's input ring through [`core::StepSink`], the
+//! router's one output protocol, with no intermediate staging.
 //! There is one cycle loop, and its simulated outcomes across patterns,
 //! loads, pipelines, tori, faults and workloads are pinned by the golden
 //! run digests in `crates/network/tests/golden_digests.rs`.

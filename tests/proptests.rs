@@ -1,7 +1,9 @@
 //! Property-based tests over the core invariants of the reproduction.
 
 use lapses::core::flit::{Flit, MessageId, MsgRef};
+use lapses::core::router::INFINITE_CREDITS;
 use lapses::core::tables::{EconomicalTable, FullTable, IntervalTable, TableScheme};
+use lapses::core::{Router, RouterTable, StepSink};
 use lapses::prelude::*;
 use lapses::routing::{TurnModel, TurnModelKind};
 use lapses::sim::stats::{Histogram, RunningStats};
@@ -9,6 +11,8 @@ use lapses::sim::PhaseController;
 use lapses::topology::labeling::{ClusterId, ClusterMap};
 use lapses::topology::SignVec;
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
     (2u16..=9, 2u16..=9).prop_map(|(w, h)| Mesh::mesh_2d(w, h))
@@ -233,5 +237,178 @@ proptest! {
         prop_assert!(!r.saturated);
         prop_assert_eq!(r.messages, 150);
         prop_assert!(r.avg_latency > 0.0);
+    }
+}
+
+/// A router sink that checks the zero-copy wire protocol as the router
+/// emits: payloads transferred at XB queue per output (port, VC) with
+/// their cycle, and each launch must find an earlier transfer there.
+#[derive(Default)]
+struct ProtocolSink {
+    now: u64,
+    wire: HashMap<(Port, usize), VecDeque<(u64, Flit)>>,
+    /// Flits that left this cycle, launched or ejected: `(port, vc, flit)`.
+    left: Vec<(Port, usize, Flit)>,
+    credits: Vec<(Port, usize)>,
+    violations: Vec<String>,
+}
+
+impl StepSink for ProtocolSink {
+    fn eject(&mut self, vc: usize, flit: Flit) {
+        self.left.push((Port::LOCAL, vc, flit));
+    }
+
+    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
+        if out_port.is_local() {
+            self.violations
+                .push(format!("cycle {}: transfer to the local port", self.now));
+        }
+        let fifo = self.wire.entry((out_port, vc)).or_default();
+        fifo.push_back((self.now, flit));
+    }
+
+    fn launch(&mut self, port: Port, vc: usize) {
+        if port.is_local() {
+            self.violations
+                .push(format!("cycle {}: launch on the local port", self.now));
+        }
+        match self.wire.get_mut(&(port, vc)).and_then(VecDeque::pop_front) {
+            Some((at, flit)) if at < self.now => self.left.push((port, vc, flit)),
+            Some((at, _)) => self.violations.push(format!(
+                "cycle {}: {port} vc{vc} launched a flit transferred at {at}",
+                self.now
+            )),
+            None => self.violations.push(format!(
+                "cycle {}: {port} vc{vc} launched with nothing transferred",
+                self.now
+            )),
+        }
+    }
+
+    fn credit(&mut self, in_port: Port, vc: usize) {
+        self.credits.push((in_port, vc));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One mid-mesh router fed random messages on random input ports and
+    /// VCs, with credits returned after a delay in both directions, keeps
+    /// the sink protocol: every launch pops the oldest transfer at its
+    /// (port, VC), nothing transfers or launches on the local port, every
+    /// message leaves whole, in `seq` order, through one output VC, credits
+    /// emitted equal flits accepted, and after the drain the wire and the
+    /// router are empty.
+    #[test]
+    fn router_keeps_the_sink_protocol(
+        msgs in prop::collection::vec((0usize..5, 0usize..4, 1u32..=12, 0u32..25), 1..40),
+        credit_delay in 1u64..=4,
+        lookahead in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let mesh = Mesh::mesh_2d(5, 5);
+        let node = mesh.id_at(&[2, 2]).unwrap();
+        let program: Arc<dyn TableScheme> =
+            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let cfg = RouterConfig::paper_adaptive().with_lookahead(lookahead);
+        let (ports, vcs) = (mesh.ports_per_router(), cfg.vcs_per_port);
+        let depth = cfg.input_buffer_flits as u32;
+        let table = RouterTable::new(Arc::clone(&program), node);
+        let mut router = Router::new(node, ports, cfg, table, SimRng::from_seed(seed));
+        for p in 0..ports {
+            let credits = if p == 0 { INFINITE_CREDITS } else { depth };
+            for v in 0..vcs {
+                router.set_credits(Port::from_index(p), v, credits);
+            }
+        }
+
+        // Per input (port, VC): the flits still to send, in order.
+        let mut queues = vec![VecDeque::new(); ports * vcs];
+        for (i, &(p, v, len, dest)) in msgs.iter().enumerate() {
+            let dest = NodeId(dest);
+            if p == 0 && dest == node {
+                continue; // a node never addresses itself
+            }
+            let mut flits = Flit::message(MessageId(i as u64), MsgRef(i as u32), dest, len);
+            if lookahead {
+                flits[0].lookahead = Some(program.entry(node, dest));
+            }
+            queues[p * vcs + v].extend(flits);
+        }
+        let total: usize = queues.iter().map(VecDeque::len).sum();
+
+        let mut sink = ProtocolSink::default();
+        let mut upstream_credits = vec![depth; ports * vcs];
+        let mut to_upstream = VecDeque::new(); // (due cycle, input slot)
+        let mut to_router = VecDeque::new(); // (due cycle, port, vc)
+        let (mut accepted, mut credited, mut left) = (0, 0, 0);
+        let mut next_seq: HashMap<MessageId, u32> = HashMap::new();
+        let mut open: HashMap<(Port, usize), MessageId> = HashMap::new();
+        for t in 1..=20_000u64 {
+            sink.now = t;
+            router.step_with(Cycle::new(t), &mut sink);
+            prop_assert!(sink.violations.is_empty(), "{:?}", sink.violations);
+            for (port, vc) in sink.credits.drain(..) {
+                credited += 1;
+                to_upstream.push_back((t + credit_delay, port.index() * vcs + vc));
+            }
+            for (port, vc, flit) in sink.left.drain(..) {
+                left += 1;
+                prop_assert_eq!(port.is_local(), flit.dest == node, "{} left via {}", flit, port);
+                let seq = next_seq.entry(flit.msg).or_insert(0);
+                prop_assert_eq!(flit.seq, *seq, "{} left out of order", flit);
+                *seq += 1;
+                let streaming = open.get(&(port, vc)).copied();
+                if flit.kind.is_head() {
+                    prop_assert_eq!(streaming, None, "{} interleaved on {} vc{}", flit, port, vc);
+                } else {
+                    prop_assert_eq!(streaming, Some(flit.msg), "{} strayed to {} vc{}", flit, port, vc);
+                }
+                if flit.kind.is_tail() {
+                    open.remove(&(port, vc));
+                } else {
+                    open.insert((port, vc), flit.msg);
+                }
+                if !port.is_local() {
+                    to_router.push_back((t + credit_delay, port, vc));
+                }
+            }
+            while to_upstream.front().is_some_and(|&(due, _)| due <= t) {
+                let (_, slot) = to_upstream.pop_front().unwrap();
+                upstream_credits[slot] += 1;
+            }
+            while to_router.front().is_some_and(|&(due, _, _)| due <= t) {
+                let (_, port, vc) = to_router.pop_front().unwrap();
+                router.accept_credit(port, vc);
+            }
+            // Each input link carries at most one flit per cycle, from a
+            // rotating VC with a flit to send and a credit.
+            for p in 0..ports {
+                let slot = (0..vcs)
+                    .map(|k| p * vcs + (t as usize + k) % vcs)
+                    .find(|&i| upstream_credits[i] > 0 && !queues[i].is_empty());
+                if let Some(i) = slot {
+                    let flit = queues[i].pop_front().unwrap();
+                    upstream_credits[i] -= 1;
+                    router.accept_flit(Port::from_index(p), i % vcs, flit, Cycle::new(t));
+                    accepted += 1;
+                }
+            }
+            if left == total && to_upstream.is_empty() && to_router.is_empty() {
+                break;
+            }
+        }
+        prop_assert_eq!(left, total, "the router did not drain");
+        prop_assert_eq!(accepted, total);
+        prop_assert_eq!(credited, accepted, "credits emitted != flits accepted");
+        prop_assert!(router.is_empty());
+        prop_assert!(sink.wire.values().all(VecDeque::is_empty), "wire holds flits");
+        prop_assert!(upstream_credits.iter().all(|&c| c == depth));
+        for p in 1..ports {
+            for v in 0..vcs {
+                prop_assert_eq!(router.credits(Port::from_index(p), v), depth);
+            }
+        }
     }
 }

@@ -157,6 +157,7 @@ const POOLS: &[Pool] = &[
             "bursty 4 0",
             "bursty 100 100",
             "bursty 4 nan",
+            "bursty 4 1e-300",
             "trace missing.trace",
         ],
         &["synthetic poisson", "bursty 8", "trace"],
@@ -164,7 +165,7 @@ const POOLS: &[Pool] = &[
     (
         "load",
         &["0.1", "0.2", "0.35", "0.6", "1.5", "3"],
-        &["0.01", "0", "-0.5", "nan", "inf"],
+        &["0.01", "0", "-0.5", "nan", "inf", "1e30", "1e300"],
         &["heavy"],
     ),
     (
