@@ -10,24 +10,36 @@
 use lapses_network::scenario::ScenarioBuilder;
 use lapses_network::{SimResult, SweepReport};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The canonical output directory for every bench artifact:
 /// `bench_results/` at the **workspace root**, regardless of the working
 /// directory cargo gives the bench executable (which is the package dir,
 /// `crates/bench/` — writing relative paths from there is how artifacts
-/// historically ended up split between two locations). Overridable with
-/// the `LAPSES_BENCH_DIR` environment variable for sandboxed runs.
+/// historically ended up split between two locations). The root is found
+/// at run time, walking up from the current directory to the nearest
+/// `Cargo.toml` that declares a `[workspace]`, so a binary copied along
+/// with its `target/` writes into the checkout it runs in. Outside any
+/// workspace it is `bench_results/` in the current directory.
+/// Overridable with the `LAPSES_BENCH_DIR` environment variable for
+/// sandboxed runs.
 pub fn bench_results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("LAPSES_BENCH_DIR") {
         return PathBuf::from(dir);
     }
-    // crates/bench -> crates -> workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels below the workspace root")
-        .join("bench_results")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd).unwrap_or(cwd).join("bench_results")
+}
+
+/// The nearest ancestor of `dir` (itself included) whose `Cargo.toml`
+/// declares a `[workspace]`.
+fn workspace_root(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| {
+            std::fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// The paper's per-pattern load axes (Figs. 5 and 6 x-ranges). Sweeps stop
@@ -197,6 +209,19 @@ mod tests {
             "{} is not the workspace root",
             root.display()
         );
+    }
+
+    #[test]
+    fn workspace_root_skips_member_manifests() {
+        // The bench crate's own manifest declares no workspace, so the
+        // walk continues past it to the root manifest.
+        let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate_dir.ancestors().nth(2).unwrap();
+        assert_eq!(
+            workspace_root(&crate_dir.join("src")).as_deref(),
+            Some(root)
+        );
+        assert_eq!(workspace_root(root).as_deref(), Some(root));
     }
 
     #[test]

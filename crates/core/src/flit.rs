@@ -9,11 +9,11 @@
 //!
 //! # The lean hot path
 //!
-//! Flits are the unit the simulator copies most: every hop moves one
-//! through an input buffer, a staging buffer, a link pipeline and possibly
-//! a NIC queue. [`Flit`] is therefore a small `Copy` POD holding only what
-//! the router datapath reads — message identity, position, destination and
-//! the head's look-ahead routing state. Everything the *statistics* need
+//! Flits are the unit the simulator copies most: every hop writes one
+//! into a router's input buffer, and source NICs queue them. [`Flit`] is
+//! therefore a small `Copy` POD holding only what the router datapath
+//! reads — message identity, position, destination and the head's
+//! look-ahead routing state. Everything the *statistics* need
 //! (source node, generation and injection timestamps, the measurement
 //! flag) lives in a single per-message record owned by the network layer
 //! and reached through the flit's [`MsgRef`] handle, so body and tail
@@ -22,7 +22,7 @@
 //! # Structure-of-arrays buffering
 //!
 //! On the wire a flit travels as one [`Flit`] value, but *inside a
-//! router* the buffers hold it split in two ([`Flit::split`] /
+//! router* the input buffers hold it split in two ([`Flit::split`] /
 //! [`Flit::assemble`]):
 //!
 //! * the **hot** half is just the [`FlitKind`] — the one field every
@@ -32,13 +32,22 @@
 //!   whole 32-byte flit through the cache;
 //! * the **cold** half ([`ColdFlit`]) carries everything else — message
 //!   identity, sequence number, destination and the head's look-ahead
-//!   entry — and lives in a parallel side array that only head-flit
-//!   decoding (routing reads `dest`/`lookahead`) and launch reassembly
-//!   touch.
+//!   entry — and lives in a parallel side array that only heads write
+//!   and read: routing reads `dest`/`lookahead`, and a head leaving the
+//!   router takes its payload from there.
+//!
+//! Body and tail flits never touch the cold array. Under wormhole
+//! switching a VC carries one message at a time, head first, so a body
+//! or tail flit's fields follow from its head: the same `msg`, `rec` and
+//! `dest`, `seq` one past the previous flit's, and no look-ahead entry.
+//! The router keeps that as a per-output-VC stream context, opened by
+//! the head, and builds every later flit of the message from it (see
+//! the `router` module docs).
 //!
 //! The split is lossless: `assemble(split(f)) == f`, enforced by a
-//! round-trip test below, which is what lets the router arenas change
-//! layout without changing a single simulated bit.
+//! round-trip test below. Together with the wormhole contract above, it
+//! lets the router arenas change layout without changing a single
+//! simulated bit.
 
 use crate::tables::RouteEntry;
 use lapses_topology::NodeId;
@@ -75,6 +84,18 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// The kind of a message's flit that is its first (`head`) and/or its
+    /// last (`tail`).
+    #[inline]
+    pub fn from_ends(head: bool, tail: bool) -> FlitKind {
+        match (head, tail) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        }
+    }
+
     /// Whether this flit performs routing (head of a message).
     #[inline]
     pub fn is_head(self) -> bool {
@@ -116,9 +137,11 @@ pub struct Flit {
 }
 
 /// The cold half of a flit in a structure-of-arrays buffer: every field
-/// except the [`FlitKind`]. Read by head-flit handling (routing needs
-/// `dest` and `lookahead`) and when a launch reassembles the full
-/// [`Flit`] for the wire; never touched by the body/tail fast path.
+/// except the [`FlitKind`]. Stored and read for heads only: routing needs
+/// `dest` and `lookahead`, and a head leaving the router is reassembled
+/// from it. The same type is a router's per-VC stream context, from
+/// which body and tail flits are rebuilt (their own cold halves are
+/// never stored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColdFlit {
     /// Message this flit belongs to.
@@ -175,21 +198,13 @@ impl Flit {
     pub fn message(msg: MessageId, rec: MsgRef, dest: NodeId, length: u32) -> Vec<Flit> {
         assert!(length > 0, "messages need at least one flit");
         (0..length)
-            .map(|seq| {
-                let kind = match (seq, length) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (s, l) if s + 1 == l => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit {
-                    msg,
-                    rec,
-                    dest,
-                    seq,
-                    kind,
-                    lookahead: None,
-                }
+            .map(|seq| Flit {
+                msg,
+                rec,
+                dest,
+                seq,
+                kind: FlitKind::from_ends(seq == 0, seq + 1 == length),
+                lookahead: None,
             })
             .collect()
     }

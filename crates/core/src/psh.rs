@@ -112,7 +112,7 @@ pub struct PortStatus {
 
 /// The stateful selector: owns the LFU usage counters and LRU timestamps
 /// the heuristics need ("maintaining a counter for each crossbar output
-/// port").
+/// port"). Each heuristic maintains only the history it reads.
 ///
 /// # Example
 ///
@@ -167,24 +167,35 @@ impl PathSelector {
 
     /// Records a crossbar traversal through `port` at cycle `now`
     /// (`is_head` distinguishes headers for per-message LFU counting).
+    ///
+    /// Only the counter the heuristic reads is written: the usage count
+    /// under LFU, the last-use cycle under LRU. The other heuristics keep
+    /// no history, so this is a no-op for them.
+    #[inline]
     pub fn note_port_used(&mut self, port: Port, now: u64, is_head: bool) {
         let i = port.index();
-        self.last_used[i] = now;
-        let count = match self.kind {
-            PathSelection::Lfu(LfuCounting::PerMessage) => is_head,
-            _ => true,
-        };
-        if count {
-            self.usage[i] = self.usage[i].saturating_add(1);
+        match self.kind {
+            PathSelection::Lru => self.last_used[i] = now,
+            PathSelection::Lfu(counting) => {
+                if is_head || counting == LfuCounting::PerFlit {
+                    self.usage[i] = self.usage[i].saturating_add(1);
+                }
+            }
+            PathSelection::StaticXy
+            | PathSelection::Random
+            | PathSelection::MinMux
+            | PathSelection::MaxCredit(_) => {}
         }
     }
 
-    /// Cumulative LFU usage count of a port.
+    /// Cumulative usage count of a port. Maintained only under LFU;
+    /// always 0 under the other heuristics.
     pub fn usage(&self, port: Port) -> u64 {
         self.usage[port.index()]
     }
 
-    /// Cycle of the port's most recent use (0 if never used).
+    /// Cycle of the port's most recent use (0 if never used). Maintained
+    /// only under LRU; always 0 under the other heuristics.
     pub fn last_used(&self, port: Port) -> u64 {
         self.last_used[port.index()]
     }
@@ -324,6 +335,30 @@ mod tests {
         sel.note_port_used(px, 2, false);
         sel.note_port_used(px, 3, false);
         assert_eq!(sel.usage(px), 1);
+    }
+
+    #[test]
+    fn each_heuristic_maintains_only_the_counter_it_reads() {
+        // (heuristic, usage after the four uses below, last use of +X).
+        let (px, _) = ports();
+        let cases = [
+            (PathSelection::StaticXy, 0, 0),
+            (PathSelection::Random, 0, 0),
+            (PathSelection::MinMux, 0, 0),
+            (PathSelection::MaxCredit(CreditAggregate::Sum), 0, 0),
+            (PathSelection::MaxCredit(CreditAggregate::Max), 0, 0),
+            (PathSelection::Lfu(LfuCounting::PerFlit), 4, 0),
+            (PathSelection::Lfu(LfuCounting::PerMessage), 2, 0),
+            (PathSelection::Lru, 0, 40),
+        ];
+        for (kind, usage, last_used) in cases {
+            let mut sel = PathSelector::new(kind, 5);
+            for (now, is_head) in [(10, true), (20, false), (30, true), (40, false)] {
+                sel.note_port_used(px, now, is_head);
+            }
+            assert_eq!(sel.usage(px), usage, "{kind:?} usage");
+            assert_eq!(sel.last_used(px), last_used, "{kind:?} last use");
+        }
     }
 
     #[test]

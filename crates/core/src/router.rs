@@ -32,33 +32,46 @@
 //!
 //! # The SoA flit arenas and the slot lifecycle
 //!
-//! All flit storage lives in **structure-of-arrays arenas**: per buffer
-//! class (input, output staging) one dense one-byte-per-slot array of
-//! [`FlitKind`]s — the hot half every stage branches on — plus a
-//! parallel side array of [`ColdFlit`]s holding the fields only head-flit
-//! decoding and payload hand-off read (see [`crate::flit`]). Each
-//! (port, VC) owns the fixed arena segment
-//! `flat_index * cap .. (flat_index + 1) * cap`, used as a ring whose
-//! cursor lives in the VC's [`InputVc`]/[`OutputVc`] header; cursors wrap
-//! with a compare instead of a modulo so the hot path never divides.
-//! Only the ejection port's staging slots ever hold a payload, so the
-//! staging cold array covers that port alone.
+//! Input flit storage lives in **structure-of-arrays arenas**: one dense
+//! one-byte-per-slot array of [`FlitKind`]s — the hot half every stage
+//! branches on — plus a parallel side array of [`ColdFlit`]s that holds
+//! the fields only head-flit decoding reads (see [`crate::flit`]). Each
+//! input (port, VC) owns the fixed arena segment
+//! `flat_index * ring .. (flat_index + 1) * ring`, used as a ring whose
+//! cursor lives in the VC's [`InputVc`] header; cursors wrap with a
+//! compare instead of a modulo so the hot path never divides.
+//!
+//! Only heads write or read the cold arena. Wormhole switching carries
+//! one message at a time per VC, head first, so a body or tail flit's
+//! identity (`msg`, `rec`, `dest`) is its head's and its `seq` is one
+//! past its predecessor's. When a head wins the crossbar, its cold half
+//! opens the **stream context** of the output VC it allocated, and every
+//! later flit of the message takes its payload from that context, `seq`
+//! counting up. The context is one `ColdFlit` per output VC, so a body
+//! flit's crossbar move reads one small line instead of its own arena
+//! slot, and the downstream reservation writes only its kind byte.
+//!
+//! Output staging holds no flit data at all: it is **counted**. An output
+//! VC stages only its owner's flits, in order, and the owner is released
+//! when its tail leaves, so a staging buffer is a length plus a
+//! `tail_staged` flag. The pop that empties a tail-staged buffer is the
+//! tail.
 //!
 //! A slot's lifecycle per hop is the **SY** stage in two halves: the
 //! payload is written into the exact input-ring slot it will occupy
 //! ([`Router::reserve_flit`] — done by the upstream crossbar, a link
 //! delay ahead of the arrival) and the arrival flips it visible
 //! ([`Router::commit_flit`]). NIC injection does both at once
-//! ([`Router::accept_flit`]). The **XB** winner hands the payload from
-//! the input ring head to the sink ([`StepSink::transfer`], which places
-//! it in the downstream router's input ring), stages only its kind byte,
-//! and frees the input slot (returning a credit upstream); the **VM**
-//! grant pops the staging head and announces the launch
-//! ([`StepSink::launch`]). Flits bound for the local port are the one
-//! exception: XB copies both halves into the ejection staging ring and
-//! VM reassembles the flit for [`StepSink::eject`]. Routing
-//! (**TL**/**SA**) reads only the ring head's kind byte plus, for heads,
-//! the cold `dest`/`lookahead` fields.
+//! ([`Router::accept_flit`]). The **XB** winner hands its payload, built
+//! from the head's slot or the stream context, to the sink
+//! ([`StepSink::transfer`], which places it in the downstream router's
+//! input ring), counts itself into the staging buffer, and frees the
+//! input slot (returning a credit upstream); the **VM** grant pops the
+//! staging count and announces the launch ([`StepSink::launch`]). Flits
+//! bound for the local port transfer nothing: their payload leaves at VM,
+//! where [`StepSink::eject`] gets the flit rebuilt from the ejection VC's
+//! stream context. Routing (**TL**/**SA**) reads only the ring head's
+//! kind byte plus, for heads, the cold `dest`/`lookahead` fields.
 //!
 //! # The cycle walk
 //!
@@ -136,27 +149,30 @@ const IDLE_INPUT: InputVc = InputVc {
     pending: 0,
 };
 
-/// Per-VC output state; staged flits live in the SoA output arenas.
+/// Per-VC output state. Staging is counted (see the module docs): the
+/// staged flits are the owner's next `len` flits, in order.
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
     /// Input VC currently holding this output VC, `(port, vc)`.
     owner: Option<(u8, u8)>,
+    /// Whether the owner's tail is staged — then it is the last staged
+    /// flit, and the pop that empties the buffer launches it.
+    tail_staged: bool,
     /// Free buffer slots at the downstream input VC.
     credits: u32,
-    /// Ring cursor into this VC's arena segment.
-    head: u16,
     /// Staged flits.
     len: u16,
 }
 
 const IDLE_OUTPUT: OutputVc = OutputVc {
     owner: None,
+    tail_staged: false,
     credits: 0,
-    head: 0,
     len: 0,
 };
 
-/// Cold-half value used only to initialize arena slots; never observed.
+/// Cold-half value used only to initialize arena slots and stream
+/// contexts; never observed.
 const COLD_FILLER: ColdFlit = ColdFlit {
     msg: crate::flit::MessageId(u64::MAX),
     rec: crate::flit::MsgRef(u32::MAX),
@@ -178,6 +194,15 @@ const COLD_FILLER: ColdFlit = ColdFlit {
 /// deterministic order: VM launches and ejections in ascending
 /// output-port order, then XB transfers and credits in crossbar grant
 /// order.
+///
+/// Every flit handed over is whole, but only a head's fields come from
+/// its own storage. The router relies on the wormhole contract: a VC
+/// carries one message at a time, its flits contiguous, head first with
+/// `seq` 0, each next `seq` one higher, the tail last. A body or tail
+/// flit handed to `transfer` or `eject` is therefore rebuilt from its
+/// head: the head's `msg`, `rec` and `dest`, its own `seq` and kind, and
+/// `lookahead: None`. [`Flit::message`] builds flits that keep the
+/// contract.
 pub trait StepSink {
     /// A flit leaves through the ejection channel on local VC `vc`.
     fn eject(&mut self, vc: usize, flit: Flit);
@@ -217,10 +242,9 @@ pub struct RouterStats {
 /// [`Router::commit_flit`], injections via [`Router::accept_flit`] and
 /// returned credits via [`Router::accept_credit`].
 pub struct Router {
-    // -- Walk-control state, deliberately first: everything the per-cycle
-    //    control flow branches on fits in the struct's leading cache
-    //    lines, so a lightly-loaded router's step touches very little
-    //    memory beyond the flits it actually moves. --
+    // -- Walk-control state: everything the per-cycle control flow
+    //    branches on. The default layout lets rustc reorder fields, so
+    //    this grouping is for the reader, not a cache-line layout. --
     /// Bit per input VC (flat index): set while its buffer is non-empty.
     in_occupied: u64,
     /// Bit per output VC (flat index): set while its staging buffer is
@@ -235,7 +259,7 @@ pub struct Router {
     /// AND instead of a credit load per candidate.
     credit_ok: u64,
     /// Bit per input VC (flat index): set while the VC is `Active` and
-    /// its target staging ring has space — the crossbar input arbiter's
+    /// its target staging buffer has space — the crossbar input arbiter's
     /// eligibility as a maintained mask (combined with `in_occupied` at
     /// grant time).
     xb_ok: u64,
@@ -281,15 +305,16 @@ pub struct Router {
     /// Per-VC output cursors + credits, inline.
     outputs: [OutputVc; MAX_VC_SLOTS],
     /// Hot halves (kind bytes) of the input-VC flit rings, one contiguous
-    /// segment per VC (`vc_index * in_cap ..`).
+    /// segment per VC (`vc_index * in_ring ..`).
     in_kind: Box<[FlitKind]>,
-    /// Cold halves of the input rings (head decoding / launch reads only).
+    /// Cold halves of the input rings, written and read for heads only
+    /// (a body or tail slot holds stale data).
     in_cold: Box<[ColdFlit]>,
-    /// Hot halves of the output staging rings.
-    out_kind: Box<[FlitKind]>,
-    /// Cold halves of the ejection port's staging rings — the only
-    /// staged flits whose payload stays in the router.
-    out_cold: Box<[ColdFlit]>,
+    /// Per output VC (flat index): the stream context, the payload of the
+    /// next flit of the owner's message to leave through it — at XB for a
+    /// direction port, at VM for the ejection port. A head's crossbar move
+    /// opens it (see the module docs).
+    stream: Box<[ColdFlit]>,
     selector: PathSelector,
     rng: SimRng,
     stats: RouterStats,
@@ -344,11 +369,6 @@ impl Router {
         // `in_cap` credited launches can be outstanding per VC.
         let in_ring = in_cap.checked_add(out_cap).expect("ring fits u16");
         let in_slots = ports * vcs * in_ring as usize;
-        let out_slots = ports * vcs * out_cap as usize;
-        // Ejection staging slots index `out_cold` with the same arena
-        // index as `out_kind`, which needs the local port to be port 0.
-        const _: () = assert!(Port::LOCAL.index() == 0, "the local port must be port 0");
-        let eject_slots = vcs * out_cap as usize;
         Router {
             in_occupied: 0,
             out_occupied: 0,
@@ -382,8 +402,7 @@ impl Router {
             outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
-            out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
-            out_cold: vec![COLD_FILLER; eject_slots].into_boxed_slice(),
+            stream: vec![COLD_FILLER; ports * vcs].into_boxed_slice(),
             selector: PathSelector::new(cfg.path_selection, ports),
             rng,
             stats: RouterStats::default(),
@@ -435,11 +454,6 @@ impl Router {
         self.outputs[self.out_idx(port, vc)].credits
     }
 
-    /// Occupancy of input buffer `(port, vc)` in flits.
-    pub fn input_occupancy(&self, port: Port, vc: usize) -> usize {
-        self.inputs[self.in_idx(port, vc)].len as usize
-    }
-
     /// Whether the router holds no flits at all (input or staged).
     pub fn is_empty(&self) -> bool {
         // A VC holds flits iff its occupancy bit is set, so the masks are
@@ -459,8 +473,8 @@ impl Router {
         port.index() * self.vcs as usize + vc
     }
 
-    // Ring-buffer primitives over the SoA flit arenas. Each VC owns the
-    // arena segment `idx * cap .. (idx + 1) * cap`; cursors wrap with a
+    // Ring-buffer primitives over the SoA input arenas. Each VC owns the
+    // arena segment `idx * ring .. (idx + 1) * ring`; cursors wrap with a
     // compare instead of a modulo so the hot path never divides.
 
     /// Arena index of input ring `idx`'s front slot (requires `len > 0`).
@@ -482,41 +496,6 @@ impl Router {
             ivc.head = 0;
         }
         ivc.len -= 1;
-    }
-
-    /// Pushes a kind byte onto staging ring `out_idx`, returning the
-    /// arena slot (so ejection moves can fill the cold half).
-    #[inline]
-    fn obuf_push_kind(&mut self, out_idx: usize, kind: FlitKind) -> usize {
-        let ocap = self.out_cap;
-        let ovc = &mut self.outputs[out_idx];
-        debug_assert!(ovc.len < ocap, "staging ring overflow");
-        let mut oslot = ovc.head + ovc.len;
-        if oslot >= ocap {
-            oslot -= ocap;
-        }
-        ovc.len += 1;
-        let oslot = out_idx * ocap as usize + oslot as usize;
-        self.out_kind[oslot] = kind;
-        oslot
-    }
-
-    /// Pops the front of input ring `in_idx` and pushes it onto ejection
-    /// staging ring `out_idx`, copying the two SoA halves directly (the
-    /// full [`Flit`] is never reassembled mid-router). Returns the moved
-    /// flit's kind. The crossbar move toward the local port.
-    #[inline]
-    fn move_in_to_out(&mut self, in_idx: usize, out_idx: usize) -> FlitKind {
-        debug_assert!(
-            out_idx < self.vcs as usize,
-            "payload staged off the ejection port"
-        );
-        let islot = self.ibuf_front_slot(in_idx);
-        let kind = self.in_kind[islot];
-        self.ibuf_advance(in_idx);
-        let oslot = self.obuf_push_kind(out_idx, kind);
-        self.out_cold[oslot] = self.in_cold[islot];
-        kind
     }
 
     /// SY stage in one call: a flit injected by the local network
@@ -542,8 +521,8 @@ impl Router {
         self.commit_flit(port, vc, now);
     }
 
-    /// Writes a flit's halves into the input ring slot it will occupy on
-    /// arrival **without making it visible**: the reservation half of the
+    /// Writes a flit into the input ring slot it will occupy on arrival
+    /// **without making it visible**: the reservation half of the
     /// zero-copy wire (see the `lapses-network` module docs), performed
     /// when the flit wins the *upstream* crossbar. The slot is
     /// `head + len + pending`, which is stable under everything that can
@@ -553,6 +532,11 @@ impl Router {
     /// expose it, and nothing reads past `len` in the meantime. The ring
     /// segment is sized `in_cap + out_cap`, covering every credited
     /// launch plus every upstream-staged flit.
+    ///
+    /// Only a head's cold half is stored; a body or tail flit stores its
+    /// kind alone, because the router rebuilds it from its head when it
+    /// leaves. The flits of one message must therefore follow the
+    /// wormhole contract stated at [`StepSink`].
     ///
     /// # Panics
     ///
@@ -575,7 +559,9 @@ impl Router {
         let (kind, cold) = flit.split();
         let slot = idx * cap as usize + slot as usize;
         self.in_kind[slot] = kind;
-        self.in_cold[slot] = cold;
+        if kind.is_head() {
+            self.in_cold[slot] = cold;
+        }
     }
 
     /// Makes the oldest reserved flit at `(port, vc)` visible — the wire
@@ -689,43 +675,34 @@ impl Router {
         );
         let Some(v) = granted else { return false };
         let idx = base + v;
-        // Pop the staging ring's front: the kind byte always, the cold
-        // half only for an ejection — any other payload already sits in
-        // the downstream input ring.
-        let ocap = self.out_cap;
-        let (slot, was_full) = {
-            let ovc = &mut self.outputs[idx];
-            debug_assert!(ovc.len > 0, "staging ring underflow");
-            let slot = idx * ocap as usize + ovc.head as usize;
-            let was_full = ovc.len == ocap;
-            ovc.head += 1;
-            if ovc.head == ocap {
-                ovc.head = 0;
-            }
-            ovc.len -= 1;
-            (slot, was_full)
-        };
-        let kind = self.out_kind[slot];
-        if self.outputs[idx].len == 0 {
+        // Pop the staging count. Every staged flit is the owner's and the
+        // tail is staged last, so the pop that empties a tail-staged
+        // buffer launches the tail.
+        let o = &mut self.outputs[idx];
+        debug_assert!(o.len > 0, "staging underflow");
+        let was_full = o.len == self.out_cap;
+        o.len -= 1;
+        let is_tail = o.len == 0 && o.tail_staged;
+        if o.len == 0 {
             self.out_occupied &= !(1 << idx);
             if (self.out_occupied >> base) & vcmask == 0 {
                 self.out_ports &= !(1 << p);
             }
         }
-        let o = &mut self.outputs[idx];
         if o.credits != INFINITE_CREDITS {
             o.credits -= 1;
             if o.credits == 0 {
                 self.credit_ok &= !(1 << idx);
             }
         }
-        if kind.is_tail() {
+        if is_tail {
+            o.tail_staged = false;
             o.owner = None;
             self.owner_free |= 1 << idx;
         }
         self.link_flits[p] += 1;
         if was_full {
-            // The staging ring just gained a slot: the input VC streaming
+            // The staging buffer just gained a slot: the input VC streaming
             // into it (its owner, if it is still the active streamer —
             // the owner outlives its tail's crossbar pop) becomes
             // crossbar-eligible again.
@@ -743,7 +720,13 @@ impl Router {
         }
         let port = Port::from_index(p);
         if port.is_local() {
-            sink.eject(v, Flit::assemble(kind, self.out_cold[slot]));
+            // An ejected flit's payload leaves now, from the stream
+            // context its head opened at XB.
+            let next = &mut self.stream[idx];
+            let kind = FlitKind::from_ends(next.seq == 0, is_tail);
+            let flit = Flit::assemble(kind, *next);
+            next.seq += 1;
+            sink.eject(v, flit);
         } else {
             sink.launch(port, v);
         }
@@ -753,8 +736,9 @@ impl Router {
     /// XB: separable switch allocation. Each occupied input port proposes
     /// one of its VCs (input arbitration), then each requested output port
     /// grants one proposing input (output arbitration); winners hand their
-    /// payload to the sink (or, for the local port, to the ejection
-    /// staging ring), stage their kind and free a credit.
+    /// payload to the sink (unless bound for the local port, whose
+    /// payloads leave at VM), count themselves into the staging buffer and
+    /// free a credit.
     fn xb_pass<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         let vcs = self.vcs as usize;
         let ports = self.ports as usize;
@@ -802,23 +786,36 @@ impl Router {
             debug_assert!(prop_op[ip] as usize == op && of != u16::MAX as usize);
             let in_idx = ip * vcs + iv;
             let out_port = Port::from_index(op);
-            let kind = if out_port.is_local() {
-                self.move_in_to_out(in_idx, of)
+            let islot = self.ibuf_front_slot(in_idx);
+            let kind = self.in_kind[islot];
+            self.ibuf_advance(in_idx);
+            // Only a head reads the cold arena: it opens the output VC's
+            // stream context, from which the rest of its message is built.
+            if out_port.is_local() {
+                if kind.is_head() {
+                    self.stream[of] = self.in_cold[islot];
+                }
             } else {
-                // Hand the payload to the sink (it goes straight into the
-                // downstream input ring) and stage only the kind byte for
-                // the VC multiplexor.
-                let islot = self.ibuf_front_slot(in_idx);
-                let kind = self.in_kind[islot];
-                sink.transfer(
-                    out_port,
-                    of - op * vcs,
-                    Flit::assemble(kind, self.in_cold[islot]),
-                );
-                self.ibuf_advance(in_idx);
-                self.obuf_push_kind(of, kind);
-                kind
-            };
+                let cold = if kind.is_head() {
+                    let head = self.in_cold[islot];
+                    self.stream[of] = ColdFlit {
+                        seq: head.seq + 1,
+                        lookahead: None,
+                        ..head
+                    };
+                    head
+                } else {
+                    let next = &mut self.stream[of];
+                    let cold = *next;
+                    next.seq += 1;
+                    cold
+                };
+                sink.transfer(out_port, of - op * vcs, Flit::assemble(kind, cold));
+            }
+            let o = &mut self.outputs[of];
+            debug_assert!(o.len < self.out_cap, "staging overflow");
+            o.len += 1;
+            o.tail_staged = kind.is_tail();
             if self.inputs[in_idx].len == 0 {
                 self.in_occupied &= !(1 << in_idx);
                 if (self.in_occupied >> (ip * vcs)) & vcmask == 0 {
@@ -1422,6 +1419,67 @@ mod tests {
         assert_eq!(launches.len(), 1);
         assert_eq!(r.stats().multi_candidate_decisions, 1);
         assert!(!launches[0].1.port.is_local());
+    }
+
+    #[test]
+    fn every_message_leaves_with_its_own_fields() {
+        // Single- and multi-flit messages with distinct `msg` / `rec` /
+        // `dest`, back to back on one input VC, leave partly by ejection
+        // and partly toward node 2 — more of each than the port has VCs,
+        // so every output VC carries several messages. Each flit must
+        // leave equal to the one sent, so the stream context a head opens
+        // never leaks into the next message.
+        let mesh = Mesh::mesh(&[4]);
+        let program = FullTable::program(&mesh, &DuatoAdaptive::new());
+        let minus = Port::from(Direction::minus(0));
+        for lookahead in [false, true] {
+            let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+            let mut sent = Vec::new();
+            let msgs = [
+                (10, 1, 1),
+                (11, 3, 2),
+                (12, 1, 3),
+                (13, 2, 1),
+                (14, 1, 1),
+                (15, 1, 2),
+                (16, 3, 1),
+                (17, 1, 1),
+                (18, 2, 2),
+                (19, 1, 1),
+                (20, 1, 2),
+                (21, 3, 1),
+                (22, 2, 1),
+                (23, 3, 1),
+            ];
+            for (m, dest, len) in msgs {
+                let mut flits =
+                    Flit::message(MessageId(m), MsgRef(100 + m as u32), NodeId(dest), len);
+                if lookahead {
+                    flits[0].lookahead = Some(r.table.entry(NodeId(dest)));
+                }
+                sent.extend(flits);
+            }
+            for f in &sent {
+                r.accept_flit(minus, 0, *f, Cycle::ZERO);
+            }
+            let mut wire = WireFifo::default();
+            let launches = run(&mut r, &mut wire, 1, 60);
+            assert_eq!(launches.len(), sent.len(), "la={lookahead}");
+            for (_, l) in &launches {
+                let want = sent
+                    .iter()
+                    .find(|f| (f.msg, f.seq) == (l.flit.msg, l.flit.seq))
+                    .expect("every flit that leaves was sent");
+                assert_eq!(l.port.is_local(), want.dest == NodeId(1), "{want}");
+                let carried = (lookahead && want.kind.is_head() && !l.port.is_local())
+                    .then(|| program.entry(NodeId(2), want.dest));
+                let want = Flit {
+                    lookahead: carried,
+                    ..*want
+                };
+                assert_eq!(l.flit, want, "la={lookahead}");
+            }
+        }
     }
 
     #[test]
