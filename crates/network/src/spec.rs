@@ -643,11 +643,23 @@ mod tests {
         let again = ScenarioSpec::parse(&text).unwrap();
         assert_eq!(spec, again);
 
-        let scenario = spec.to_scenario(Path::new(".")).unwrap();
+        // The spec default and the builder hold separate copies of the
+        // paper defaults; every field the spec carries must agree.
+        let built = spec.to_scenario(Path::new(".")).unwrap();
         let reference = Scenario::builder().build().unwrap();
-        assert_eq!(scenario.config().mesh, reference.config().mesh);
-        assert_eq!(scenario.config().router, reference.config().router);
-        assert_eq!(scenario.config().seed, reference.config().seed);
+        let (got, want) = (built.config(), reference.config());
+        assert_eq!(got.mesh, want.mesh);
+        assert_eq!(got.faults, want.faults);
+        assert_eq!(got.router, want.router);
+        assert_eq!(got.algorithm, want.algorithm);
+        assert_eq!(got.table, want.table);
+        assert_eq!(got.pattern, want.pattern);
+        assert_eq!(got.workload, want.workload);
+        assert_eq!(got.load, want.load);
+        assert_eq!(got.lengths, want.lengths);
+        assert_eq!(got.warmup_msgs, want.warmup_msgs);
+        assert_eq!(got.measure_msgs, want.measure_msgs);
+        assert_eq!(got.seed, want.seed);
     }
 
     #[test]

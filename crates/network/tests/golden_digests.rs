@@ -24,7 +24,8 @@
 //!
 //! The matrix covers the four paper patterns on PROUD and LA-PROUD (one
 //! test per pattern), the 16x16 reference point with exponential and
-//! with Bernoulli arrivals, a saturated point (which pins the cut-off
+//! with Bernoulli arrivals, a short cut of the benchmark's four-pattern
+//! reference grid, a saturated point (which pins the cut-off
 //! cycle), torus datelines, a faulty mesh under
 //! up*/down*-adaptive routing with economical tables, a bursty source,
 //! trace capture and replay, a two-cycle table lookup, and the interval
@@ -293,11 +294,50 @@ fn reference_scenario_matches_golden_digest() {
         .seed(1999)
         .build()
         .expect("valid");
-    let actual = [(
-        "16x16 reference".to_string(),
-        scenario_digest(&scenario, false),
-    )];
-    assert_golden("reference scenario", &actual, &[0x4b0cae78628c9f31]);
+    // The same router under the paper's four patterns, run by the sweep
+    // runner on one thread at master seed 1999: a short (200 + 1,500
+    // messages) cut of the benchmark's reference_16x16 grid.
+    let mut grid = SweepGrid::new();
+    for pattern in Pattern::PAPER_FOUR {
+        let point = Scenario::builder()
+            .mesh_2d(16, 16)
+            .lookahead(true)
+            .pattern(pattern)
+            .message_counts(200, 1_500)
+            .build()
+            .expect("valid");
+        grid = grid
+            .scenario_series(pattern.name(), &point, &ScenarioAxis::Load(vec![0.2]))
+            .expect("valid axis");
+    }
+    let report = SweepRunner::new()
+        .with_threads(1)
+        .with_master_seed(1999)
+        .run(&grid);
+    let mut short = Digest::new();
+    let mut flit_hops = 0;
+    for series in report.series() {
+        short.str(&series.label);
+        for (load, r) in &series.points {
+            short.f64(*load);
+            short.result(r);
+            flit_hops += r.flit_hops;
+        }
+    }
+    assert_eq!(flit_hops, 1_399_180, "short reference grid flit-hops");
+
+    let actual = [
+        (
+            "16x16 reference".to_string(),
+            scenario_digest(&scenario, false),
+        ),
+        ("16x16 short reference grid".to_string(), short.0),
+    ];
+    assert_golden(
+        "reference scenario",
+        &actual,
+        &[0x4b0cae78628c9f31, 0xdb4e4ad41009c185],
+    );
 }
 
 #[test]

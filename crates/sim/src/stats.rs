@@ -285,50 +285,6 @@ impl Histogram {
     }
 }
 
-/// A plain saturating event counter with a name-free, copyable representation.
-///
-/// Used for per-port usage counts (the LFU heuristic), flit movement counts
-/// and link-utilization tracking.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one, saturating at `u64::MAX`.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,17 +391,6 @@ mod tests {
         let mut a = Histogram::new(1.0, 8);
         let b = Histogram::new(2.0, 8);
         a.merge(&b);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

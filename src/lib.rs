@@ -149,17 +149,11 @@
 //! loads, pipelines, tori, faults and workloads are pinned by the golden
 //! run digests in `crates/network/tests/golden_digests.rs`.
 //!
-//! The reference-sweep speedometer
-//! (`cargo bench -p lapses-bench --bench perf_sweep`) runs a pinned
-//! 16×16 sweep at 0.2 normalized load and writes
-//! `bench_results/BENCH_sweep.json` (wall seconds, simulated cycles/sec,
-//! delivered flits/sec, plus the noise-robust flit-hops-per-second score
-//! taken as the best of `LAPSES_BENCH_REPS` short repetitions) so the
-//! perf trajectory is tracked PR over PR; CI uploads it as an artifact
-//! and the `perf_guard` binary fails the build on regressions against
-//! the committed baseline. Introducing the scheduler and the lean flit
-//! path raised it from ~25.6k to ~55.2k simulated cycles/sec (≈2.15×)
-//! on the reference machine.
+//! Performance is measured by the standalone benchmark in `perfbench/`
+//! (three pinned workloads, end-to-end and per-layer metrics, described
+//! in `BENCHMARK.json`). `scripts/perf_ab.py <base-rev>` runs it as an
+//! interleaved same-host A/B against another commit and fails on a
+//! regression beyond each metric's bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
